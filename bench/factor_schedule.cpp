@@ -66,6 +66,14 @@ struct Cell {
   index_t v;
 };
 
+// One acceptance-gate verdict, recorded in the row it judged.
+struct GateResult {
+  std::string name;
+  double measured = 0.0;
+  double limit = 0.0;
+  bool pass = false;
+};
+
 struct Row {
   std::string algo;
   Cell cell;
@@ -132,6 +140,7 @@ struct Row {
   double lat_lazy_sum_s = 0.0;
   double ready_depth_max = 0.0;
   double ready_lazy_depth_max = 0.0;
+  std::vector<GateResult> gates;
 };
 
 xsim::MachineSpec spec_for(const Cell& c) {
@@ -572,6 +581,17 @@ bool write_json(const std::string& path, const std::vector<Row>& rows) {
     w.field("abft_overhead_pair_ratio", r.abft_pair_ratio);
     w.field("abft_verified_per_run", r.abft_verified_per_run);
     w.end_object();
+    w.key("gates");
+    w.begin_array();
+    for (const GateResult& g : r.gates) {
+      w.begin_object();
+      w.field("name", std::string_view(g.name));
+      w.field("measured", g.measured);
+      w.field("limit", g.limit);
+      w.field("pass", g.pass);
+      w.end_object();
+    }
+    w.end_array();
     w.end_object();
   }
   w.end_array();
@@ -609,6 +629,129 @@ int main(int argc, char** argv) {
       print_row(rows.back());
     }
   }
+
+  // Sanity + acceptance gates for CI's perf-smoke job. Every gate prints
+  // its measured value against the gated threshold — pass or fail — so a
+  // run that squeaks by with no margin is visible in the log long before
+  // it turns into a red build. Each verdict is also recorded in its row,
+  // and the record is written whether or not every gate passed.
+  bool gates_ok = true;
+  for (Row& r : rows) {
+    const std::string where =
+        r.algo + " n=" + std::to_string(static_cast<long long>(r.cell.n));
+    const auto gate = [&](const char* name, double measured, double limit,
+                          bool pass) {
+      if (limit > 0.0 && std::isfinite(measured)) {
+        std::printf("gate %-22s %-22s measured %11.4g vs gated %11.4g "
+                    "(ratio %.3fx) %s\n",
+                    name, where.c_str(), measured, limit, measured / limit,
+                    pass ? "PASS" : "FAIL");
+      } else {
+        std::printf("gate %-22s %-22s measured %11.4g vs gated %11.4g %s\n",
+                    name, where.c_str(), measured, limit,
+                    pass ? "PASS" : "FAIL");
+      }
+      r.gates.push_back({name, measured, limit, pass});
+      if (!pass) gates_ok = false;
+      return pass;
+    };
+    const bool at_gate_cell =
+        r.cell.n == 2048 && r.cell.px * r.cell.py * r.cell.pz == 64;
+    // A hung clock, NaN time, or NaN model output must fail the run, not
+    // silently land in the record.
+    const bool finite_ok =
+        std::isfinite(r.real_wall_s) && r.real_wall_s > 0.0 &&
+        std::isfinite(r.real_gflops) && std::isfinite(r.t_bsp) &&
+        std::isfinite(r.t_timeline) && std::isfinite(r.t_overlap) &&
+        std::isfinite(r.t_lookahead) && std::isfinite(r.lookahead_wall_s) &&
+        r.lookahead_wall_s > 0.0 && std::isfinite(r.workspace_peak_words);
+    gate("finite-measurements", r.real_wall_s, 0.0, finite_ok);
+    // Model ordering must hold in the record itself: bsp >= timeline >=
+    // lookahead >= overlap. Printed as overlap vs bsp (the outer pair).
+    const bool order_ok = r.t_bsp >= r.t_timeline &&
+                          r.t_timeline >= r.t_lookahead &&
+                          r.t_lookahead >= r.t_overlap;
+    gate("model-ordering", r.t_overlap, r.t_bsp, order_ok);
+    // Lookahead acceptance gate (ISSUE 5): at the n=2048 P=64 cell with at
+    // least two host threads, pipelined execution must be no slower than
+    // step-synchronous. Both legs run best-of-reps of bitwise-identical
+    // arithmetic, so any true regression shows up as a systematic gap; the
+    // 5% margin covers OS-scheduler noise when the threads oversubscribe
+    // the cores (CI runners, containers).
+    if (at_gate_cell && r.threads >= 2) {
+      gate("lookahead-speed", r.lookahead_wall_s, 1.05 * r.real_wall_s,
+           r.lookahead_wall_s <= 1.05 * r.real_wall_s);
+    }
+    // Mixed-precision acceptance gate (ISSUE 4): the refined solve must
+    // reach the fp64 direct solve's backward error within 10x in <= 3 steps
+    // — or have converged by the dsgesv-style 2*sqrt(n)*eps criterion the
+    // refinement loop itself targets (it stops there by design, so when
+    // that tolerance sits above 10x an unusually good direct solve, the
+    // stricter bar would punish legitimate early convergence).
+    const double dsgesv_tol = 2.0 * std::sqrt(static_cast<double>(r.cell.n)) *
+                              std::numeric_limits<double>::epsilon();
+    const double ir_limit =
+        std::max(10.0 * r.direct_backward_error, dsgesv_tol);
+    const bool ir_ok = r.ir_steps <= 3 && std::isfinite(r.ir_backward_error) &&
+                       r.ir_backward_error <= ir_limit;
+    if (!gate("mixed-precision-berr", r.ir_backward_error, ir_limit, ir_ok)) {
+      std::fprintf(stderr,
+                   "error: mixed-precision solve off the bar for %s n=%lld "
+                   "(steps %d, berr %.3e vs direct %.3e)\n",
+                   r.algo.c_str(), static_cast<long long>(r.cell.n), r.ir_steps,
+                   r.ir_backward_error, r.direct_backward_error);
+    }
+    // Degradation-ladder gate (ISSUE 6): the bench inputs are healthy and
+    // well conditioned, so the fp64 rung engaging would mean either a
+    // numerics regression or an over-eager breakdown classifier.
+    gate("no-fp64-fallback", static_cast<double>(r.ladder_fp64_fallbacks), 0.0,
+         !r.fallback_engaged && r.ladder_fp64_fallbacks == 0);
+    // Data-movement audit gate: the measured per-rank volume must exceed
+    // the lower bound (counting every workspace touch, it cannot be below
+    // a valid bound) and stay within a fixed constant factor of it — the
+    // implementation moves O(lower bound) data. The constant covers the
+    // shared-memory accounting (each operand touch counted, both sides of
+    // every copy) across all bench cells; a regression that loses the
+    // asymptotics (for example re-reading the trailing matrix per step
+    // without blocking) overshoots it by orders of magnitude.
+    const bool audit_ok = std::isfinite(r.audit.measured_ratio) &&
+                          r.audit.measured_ratio >= 1.0 &&
+                          r.audit.measured_ratio <= 80.0;
+    if (!gate("data-movement-audit", r.audit.measured_ratio, 80.0,
+              audit_ok)) {
+      std::fprintf(stderr,
+                   "error: measured data movement off the bound for %s "
+                   "n=%lld (%.3g words/rank vs bound %.3g, ratio %.2f)\n",
+                   r.algo.c_str(), static_cast<long long>(r.cell.n),
+                   r.audit.measured_words_per_rank, r.audit.lower_bound_words,
+                   r.audit.measured_ratio);
+    }
+    // Instrumentation-overhead gate (acceptance): at the n=2048 P=64 cell
+    // the armed run must cost at most 2% over the disarmed run. The gated
+    // statistic is the min over interleaved back-to-back (disarmed, armed)
+    // pairs: the registry's overhead is deterministic (one TLS add per
+    // record), while this container's scheduling noise is several percent
+    // between runs minutes apart — a single quiet pair bounds the true
+    // overhead from above, where min-per-leg over independent runs does
+    // not.
+    if (at_gate_cell) {
+      gate("metrics-overhead", r.metrics_pair_ratio, 1.02,
+           r.metrics_pair_ratio <= 1.02);
+      // Recovery-overhead gates (ISSUE 8, acceptance): checkpointing at the
+      // default interval costs at most 5% and per-step ABFT verification at
+      // most 10% over the plain lookahead run. Same min-over-interleaved-
+      // pairs statistic as the metrics gate.
+      gate("checkpoint-overhead", r.ckpt_pair_ratio, 1.05,
+           r.ckpt_pair_ratio <= 1.05);
+      gate("abft-overhead", r.abft_pair_ratio, 1.10,
+           r.abft_pair_ratio <= 1.10);
+    }
+  }
+  if (!write_json(out_path, rows)) {
+    std::fprintf(stderr, "error: could not write %s\n", out_path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s (%zu rows)\n", out_path.c_str(), rows.size());
 
   // CONFLUX_TRACE=<file>: one merged Chrome trace of the first cell's LU
   // lookahead run — task-pool worker slices, the factor core's annotated
@@ -656,131 +799,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Sanity + acceptance gates for CI's perf-smoke job. Every gate prints
-  // its measured value against the gated threshold — pass or fail — so a
-  // run that squeaks by with no margin is visible in the log long before
-  // it turns into a red build.
-  bool gates_ok = true;
-  const auto gate = [&gates_ok](const char* name, const std::string& where,
-                                double measured, double limit, bool pass) {
-    if (limit > 0.0 && std::isfinite(measured)) {
-      std::printf("gate %-22s %-22s measured %11.4g vs gated %11.4g "
-                  "(ratio %.3fx) %s\n",
-                  name, where.c_str(), measured, limit, measured / limit,
-                  pass ? "PASS" : "FAIL");
-    } else {
-      std::printf("gate %-22s %-22s measured %11.4g vs gated %11.4g %s\n",
-                  name, where.c_str(), measured, limit, pass ? "PASS" : "FAIL");
-    }
-    if (!pass) gates_ok = false;
-    return pass;
-  };
-  for (const Row& r : rows) {
-    const std::string where =
-        r.algo + " n=" + std::to_string(static_cast<long long>(r.cell.n));
-    const bool at_gate_cell =
-        r.cell.n == 2048 && r.cell.px * r.cell.py * r.cell.pz == 64;
-    // A hung clock, NaN time, or NaN model output must fail the run, not
-    // silently land in the record.
-    const bool finite_ok =
-        std::isfinite(r.real_wall_s) && r.real_wall_s > 0.0 &&
-        std::isfinite(r.real_gflops) && std::isfinite(r.t_bsp) &&
-        std::isfinite(r.t_timeline) && std::isfinite(r.t_overlap) &&
-        std::isfinite(r.t_lookahead) && std::isfinite(r.lookahead_wall_s) &&
-        r.lookahead_wall_s > 0.0 && std::isfinite(r.workspace_peak_words);
-    gate("finite-measurements", where, r.real_wall_s, 0.0, finite_ok);
-    // Model ordering must hold in the record itself: bsp >= timeline >=
-    // lookahead >= overlap. Printed as overlap vs bsp (the outer pair).
-    const bool order_ok = r.t_bsp >= r.t_timeline &&
-                          r.t_timeline >= r.t_lookahead &&
-                          r.t_lookahead >= r.t_overlap;
-    gate("model-ordering", where, r.t_overlap, r.t_bsp, order_ok);
-    // Lookahead acceptance gate (ISSUE 5): at the n=2048 P=64 cell with at
-    // least two host threads, pipelined execution must be no slower than
-    // step-synchronous. Both legs run best-of-reps of bitwise-identical
-    // arithmetic, so any true regression shows up as a systematic gap; the
-    // 5% margin covers OS-scheduler noise when the threads oversubscribe
-    // the cores (CI runners, containers).
-    if (at_gate_cell && r.threads >= 2) {
-      gate("lookahead-speed", where, r.lookahead_wall_s, 1.05 * r.real_wall_s,
-           r.lookahead_wall_s <= 1.05 * r.real_wall_s);
-    }
-    // Mixed-precision acceptance gate (ISSUE 4): the refined solve must
-    // reach the fp64 direct solve's backward error within 10x in <= 3 steps
-    // — or have converged by the dsgesv-style 2*sqrt(n)*eps criterion the
-    // refinement loop itself targets (it stops there by design, so when
-    // that tolerance sits above 10x an unusually good direct solve, the
-    // stricter bar would punish legitimate early convergence).
-    const double dsgesv_tol = 2.0 * std::sqrt(static_cast<double>(r.cell.n)) *
-                              std::numeric_limits<double>::epsilon();
-    const double ir_limit =
-        std::max(10.0 * r.direct_backward_error, dsgesv_tol);
-    const bool ir_ok = r.ir_steps <= 3 && std::isfinite(r.ir_backward_error) &&
-                       r.ir_backward_error <= ir_limit;
-    if (!gate("mixed-precision-berr", where, r.ir_backward_error, ir_limit,
-              ir_ok)) {
-      std::fprintf(stderr,
-                   "error: mixed-precision solve off the bar for %s n=%lld "
-                   "(steps %d, berr %.3e vs direct %.3e)\n",
-                   r.algo.c_str(), static_cast<long long>(r.cell.n), r.ir_steps,
-                   r.ir_backward_error, r.direct_backward_error);
-    }
-    // Degradation-ladder gate (ISSUE 6): the bench inputs are healthy and
-    // well conditioned, so the fp64 rung engaging would mean either a
-    // numerics regression or an over-eager breakdown classifier.
-    gate("no-fp64-fallback", where,
-         static_cast<double>(r.ladder_fp64_fallbacks), 0.0,
-         !r.fallback_engaged && r.ladder_fp64_fallbacks == 0);
-    // Data-movement audit gate: the measured per-rank volume must exceed
-    // the lower bound (counting every workspace touch, it cannot be below
-    // a valid bound) and stay within a fixed constant factor of it — the
-    // implementation moves O(lower bound) data. The constant covers the
-    // shared-memory accounting (each operand touch counted, both sides of
-    // every copy) across all bench cells; a regression that loses the
-    // asymptotics (for example re-reading the trailing matrix per step
-    // without blocking) overshoots it by orders of magnitude.
-    const bool audit_ok = std::isfinite(r.audit.measured_ratio) &&
-                          r.audit.measured_ratio >= 1.0 &&
-                          r.audit.measured_ratio <= 80.0;
-    if (!gate("data-movement-audit", where, r.audit.measured_ratio, 80.0,
-              audit_ok)) {
-      std::fprintf(stderr,
-                   "error: measured data movement off the bound for %s "
-                   "n=%lld (%.3g words/rank vs bound %.3g, ratio %.2f)\n",
-                   r.algo.c_str(), static_cast<long long>(r.cell.n),
-                   r.audit.measured_words_per_rank, r.audit.lower_bound_words,
-                   r.audit.measured_ratio);
-    }
-    // Instrumentation-overhead gate (acceptance): at the n=2048 P=64 cell
-    // the armed run must cost at most 2% over the disarmed run. The gated
-    // statistic is the min over interleaved back-to-back (disarmed, armed)
-    // pairs: the registry's overhead is deterministic (one TLS add per
-    // record), while this container's scheduling noise is several percent
-    // between runs minutes apart — a single quiet pair bounds the true
-    // overhead from above, where min-per-leg over independent runs does
-    // not.
-    if (at_gate_cell) {
-      gate("metrics-overhead", where, r.metrics_pair_ratio, 1.02,
-           r.metrics_pair_ratio <= 1.02);
-      // Recovery-overhead gates (ISSUE 8, acceptance): checkpointing at the
-      // default interval costs at most 5% and per-step ABFT verification at
-      // most 10% over the plain lookahead run. Same min-over-interleaved-
-      // pairs statistic as the metrics gate.
-      gate("checkpoint-overhead", where, r.ckpt_pair_ratio, 1.05,
-           r.ckpt_pair_ratio <= 1.05);
-      gate("abft-overhead", where, r.abft_pair_ratio, 1.10,
-           r.abft_pair_ratio <= 1.10);
-    }
-  }
   if (!gates_ok) {
     std::fprintf(stderr, "error: one or more acceptance gates failed\n");
     return 1;
   }
-
-  if (!write_json(out_path, rows)) {
-    std::fprintf(stderr, "error: could not write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s (%zu rows)\n", out_path.c_str(), rows.size());
   return 0;
 }

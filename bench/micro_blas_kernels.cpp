@@ -3,31 +3,19 @@
 // Self-timed (no external benchmark dependency) so the numbers land in a
 // machine-readable JSON file: each kernel x shape row records GF/s and the
 // best wall time, written to --out=BENCH_blas.json for later PRs to track
-// the perf trajectory. The seed repository's original gemm kernel (coarse
-// cache blocking, per-element zero-check branch, no packing) is embedded
-// here verbatim as `seed` so the speedup of the packed register-tiled
-// rebuild stays measurable forever.
+// the perf trajectory.
 //
 // Usage:
 //   micro_blas_kernels [--out=BENCH_blas.json] [--threads=1] [--large]
-//                      [--sweep] [--min-time=0.3]
-//                      [--autotune] [--budget=60] [--require-tuning-source=SRC]
+//                      [--min-time=0.3]
 //   --large     adds n = 2048 shapes
-//   --sweep     additionally sweeps the (mc, kc, nc) cache-block tuning for
-//               gemm at the largest shape and reports the best combination
-//   --autotune  run the install-time autotuner (src/blas/autotune.hpp) for
-//               the active ISA and persist the winners to the tuning file
-//               (XBLAS_TUNING_FILE or ~/.cache/conflux/tuning.json), then
-//               exit. --budget caps its wall-clock seconds.
-//   --require-tuning-source=default|file|env
-//               exit nonzero unless this process's Tuning::detect() resolved
-//               from the given layer — CI uses it to prove a persisted
-//               tuning file round-trips into a fresh process.
 //
-// Every row records the measured ISA, the tuning source, and git describe;
-// per-ISA gemm rows (`gemm_isa_*`) cover each kernel the host can run, and
-// the dispatched-vs-portable fp64 gate fails the run (and CI) if runtime
-// dispatch ever picks a slower kernel than the portable baseline.
+// Block sizes come from the compiled-in Tuning defaults and XBLAS_*
+// overrides (src/blas/tuning.hpp); bench/ablation_block_size.cpp sweeps
+// them. Every row records the measured ISA, the tuning source, and git
+// describe; per-ISA gemm rows (`gemm_isa_*`) cover each kernel the host can
+// run, and the dispatched-vs-portable fp64 gate fails the run (and CI) if
+// runtime dispatch ever picks a slower kernel than the portable baseline.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -37,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "blas/autotune.hpp"
 #include "blas/blas.hpp"
 #include "blas/lapack.hpp"
 #include "blas/microkernel.hpp"
@@ -60,58 +47,6 @@ using conflux::ViewD;
 
 namespace {
 
-// ---- seed-kernel baseline (the pre-rebuild gemm, kept for comparison) ----
-
-constexpr index_t kSeedMC = 64;
-constexpr index_t kSeedKC = 64;
-constexpr index_t kSeedNC = 256;
-
-void seed_kernel_nn(index_t mc, index_t nc, index_t kc, const double* a,
-                    index_t lda, const double* b, index_t ldb, double* c,
-                    index_t ldc) {
-  for (index_t i = 0; i < mc; ++i) {
-    for (index_t p = 0; p < kc; ++p) {
-      const double aip = a[i * lda + p];
-      if (aip == 0.0) continue;
-      const double* brow = b + p * ldb;
-      double* crow = c + i * ldc;
-      for (index_t j = 0; j < nc; ++j) crow[j] += aip * brow[j];
-    }
-  }
-}
-
-void seed_gemm(double alpha, ConstViewD a, ConstViewD b, double beta, ViewD c) {
-  const index_t m = c.rows();
-  const index_t n = c.cols();
-  const index_t k = a.cols();
-  if (beta == 0.0) {
-    for (index_t i = 0; i < m; ++i) {
-      for (index_t j = 0; j < n; ++j) c(i, j) = 0.0;
-    }
-  } else if (beta != 1.0) {
-    for (index_t i = 0; i < m; ++i) {
-      for (index_t j = 0; j < n; ++j) c(i, j) *= beta;
-    }
-  }
-  std::vector<double> ablock(static_cast<std::size_t>(kSeedMC * kSeedKC));
-  for (index_t jc = 0; jc < n; jc += kSeedNC) {
-    const index_t nc = std::min(kSeedNC, n - jc);
-    for (index_t pc = 0; pc < k; pc += kSeedKC) {
-      const index_t kc = std::min(kSeedKC, k - pc);
-      for (index_t ic = 0; ic < m; ic += kSeedMC) {
-        const index_t mc = std::min(kSeedMC, m - ic);
-        for (index_t i = 0; i < mc; ++i) {
-          const double* src = a.data() + (ic + i) * a.ld() + pc;
-          double* dst = ablock.data() + i * kc;
-          for (index_t p = 0; p < kc; ++p) dst[p] = alpha * src[p];
-        }
-        seed_kernel_nn(mc, nc, kc, ablock.data(), kc, b.data() + pc * b.ld() + jc,
-                       b.ld(), c.data() + ic * c.ld() + jc, c.ld());
-      }
-    }
-  }
-}
-
 // ---- timing harness -------------------------------------------------------
 
 struct Result {
@@ -127,7 +62,7 @@ struct Result {
 
 // Thread count the whole run was measured with; recorded per JSON row so
 // the cross-PR perf trajectory never mixes thread scaling with kernel
-// quality (the embedded seed kernel is always serial).
+// quality.
 int g_threads = 1;
 
 // Run fn repeatedly (after one warmup) until min_time total or min 3 reps;
@@ -210,8 +145,8 @@ int main(int argc, char** argv) {
   // Default to 1 thread so kernel-quality numbers are comparable across
   // machines, but let XBLAS_THREADS (already folded into tuning()) win when
   // the flag is not given explicitly. 0 means "library default", which is
-  // resolved to the real OpenMP thread count below so the JSON rows and the
-  // speedup-vs-seed line (the seed kernel is always serial) stay honest.
+  // resolved to the real OpenMP thread count below so the JSON rows stay
+  // honest.
   const int env_threads =
       std::getenv("XBLAS_THREADS") ? xblas::tuning().threads : 1;
   int threads = static_cast<int>(cli.get_int("threads", env_threads));
@@ -224,60 +159,15 @@ int main(int argc, char** argv) {
   }
   const double min_time = cli.get_double("min-time", 0.3);
   const bool large = cli.get_flag("large");
-  const bool sweep = cli.get_flag("sweep");
-  const bool autotune = cli.get_flag("autotune");
-  const double budget = cli.get_double("budget", 60.0);
-  const std::string require_source = cli.get_string("require-tuning-source", "");
   cli.check_unused();
 
   std::printf("isa: %s (dispatched)  tuning_source: %s  build: %s\n",
               xblas::isa_name(xblas::active_isa()), xblas::tuning_source(),
               conflux::git_describe());
 
-  // CI round-trip check: a fresh process must have resolved its tuning from
-  // the layer the caller expects (e.g. "file" right after --autotune wrote
-  // one). Checked before anything below mutates tuning().
-  if (!require_source.empty() && require_source != xblas::tuning_source()) {
-    std::fprintf(stderr,
-                 "error: tuning source is '%s', required '%s' (tuning file: %s)\n",
-                 xblas::tuning_source(), require_source.c_str(),
-                 xblas::autotune::default_tuning_path().c_str());
-    return 1;
-  }
-
   xblas::tuning().threads = threads;
   g_threads = threads;
 
-  if (autotune) {
-    xblas::autotune::Options opts;
-    opts.budget_seconds = budget;
-    std::printf("autotuning isa=%s (budget %.1fs)...\n",
-                xblas::isa_name(xblas::active_isa()), budget);
-    const xblas::autotune::Report rep = xblas::autotune::run(opts);
-    for (const xblas::autotune::Entry& e : rep.tuned) {
-      std::printf("  best %-4s mc=%-4lld kc=%-4lld nc=%-5lld db=%-4lld "
-                  "lu_nb=%-4lld %8.2f GF/s\n",
-                  e.type.c_str(), static_cast<long long>(e.mc),
-                  static_cast<long long>(e.kc), static_cast<long long>(e.nc),
-                  static_cast<long long>(e.db), static_cast<long long>(e.lu_nb),
-                  e.gflops);
-    }
-    std::printf("autotune timed %d candidates, skipped %d, in %.1fs\n",
-                rep.candidates_timed, rep.candidates_skipped, rep.seconds);
-    const std::string path = xblas::autotune::default_tuning_path();
-    if (path.empty()) {
-      std::printf("tuning persistence disabled (XBLAS_TUNING_FILE empty and "
-                  "no cache dir)\n");
-      return rep.tuned.empty() ? 1 : 0;
-    }
-    if (!xblas::autotune::save_report(path, rep)) {
-      std::fprintf(stderr, "error: could not write %s\n", path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s (%zu entries tuned)\n", path.c_str(),
-                rep.tuned.size());
-    return 0;
-  }
   std::vector<index_t> shapes = {256, 512, 1024};
   if (large) shapes.push_back(2048);
   const index_t nmax = shapes.back();
@@ -288,11 +178,6 @@ int main(int argc, char** argv) {
     const MatrixD b = conflux::random_matrix(n, n, 2);
     MatrixD c(n, n, 0.0);
     const double gemm_fl = xblas::gemm_flops(n, n, n);
-
-    results.push_back(time_kernel("gemm_seed", n, gemm_fl, timed_run([&] {
-      seed_gemm(1.0, a.view(), b.view(), 0.0, c.view());
-    }), min_time));
-    print_result(results.back());
 
     results.push_back(time_kernel("gemm", n, gemm_fl, timed_run([&] {
       xblas::gemm(xblas::Trans::None, xblas::Trans::None, 1.0, a.view(),
@@ -452,39 +337,15 @@ int main(int argc, char** argv) {
     if (!pass) gates_ok = false;
   }
 
-  if (sweep) {
-    std::printf("\nCache-block sweep (gemm, n=%lld):\n",
-                static_cast<long long>(nmax));
-    // The sweep machinery lives in src/blas/autotune.cpp (shared with
-    // --autotune); the callback lands every timed point in the JSON rows.
-    const xblas::autotune::SweepBest best = xblas::autotune::sweep_gemm<double>(
-        nmax, {64, 96, 128, 192, 256}, {128, 256, 384, 512}, {2048, 4096},
-        std::min(min_time, 0.15),
-        [&](index_t mc, index_t kc, index_t nc, double gf) {
-          std::printf("  mc=%-4lld kc=%-4lld nc=%-5lld %8.2f GF/s\n",
-                      static_cast<long long>(mc), static_cast<long long>(kc),
-                      static_cast<long long>(nc), gf);
-          Result r{"gemm_sweep_mc" + std::to_string(mc) + "_kc" +
-                       std::to_string(kc) + "_nc" + std::to_string(nc),
-                   nmax, gf, 0.0, 0};
-          r.seconds = xblas::gemm_flops(nmax, nmax, nmax) / gf * 1e-9;
-          results.push_back(r);
-        });
-    std::printf("  best: mc=%lld kc=%lld nc=%lld at %.2f GF/s\n",
-                static_cast<long long>(best.mc), static_cast<long long>(best.kc),
-                static_cast<long long>(best.nc), best.gflops);
-  }
-
-  const double seed_gf = find_gflops(results, "gemm_seed", nmax);
   const double gemm_gf = find_gflops(results, "gemm", nmax);
   const double syrk_gf = find_gflops(results, "syrk", nmax);
   const double trsm_gf = find_gflops(results, "trsm", nmax);
   const double gemm_f32_gf = find_gflops(results, "gemm_f32", nmax);
-  if (seed_gf > 0.0 && gemm_gf > 0.0) {
-    std::printf("\ngemm speedup vs seed kernel @ n=%lld: %.2fx\n",
-                static_cast<long long>(nmax), gemm_gf / seed_gf);
-    std::printf("syrk/gemm throughput ratio: %.2f   trsm/gemm: %.2f\n",
-                syrk_gf / gemm_gf, trsm_gf / gemm_gf);
+  if (gemm_gf > 0.0) {
+    std::printf("\nsyrk/gemm throughput ratio @ n=%lld: %.2f   "
+                "trsm/gemm: %.2f\n",
+                static_cast<long long>(nmax), syrk_gf / gemm_gf,
+                trsm_gf / gemm_gf);
     std::printf("fp32/fp64 gemm throughput ratio: %.2fx\n", gemm_f32_gf / gemm_gf);
   }
 

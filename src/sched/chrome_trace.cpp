@@ -180,28 +180,6 @@ bool write_chrome_trace_file(const std::string& path, const Timeline& timeline) 
   return out.good();
 }
 
-std::size_t write_task_trace(std::ostream& os,
-                             const std::vector<TaskSlice>& slices) {
-  json::Writer w(os);
-  w.begin_object();
-  w.field("displayTimeUnit", "ms");
-  w.key("traceEvents");
-  w.begin_array();
-  const std::size_t count = write_task_events(w, 0, slices);
-  w.end_array();
-  w.end_object();
-  os << "\n";
-  return count;
-}
-
-bool write_task_trace_file(const std::string& path,
-                           const std::vector<TaskSlice>& slices) {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_task_trace(out, slices);
-  return out.good();
-}
-
 std::size_t write_unified_trace(std::ostream& os,
                                 const std::vector<TaskSlice>& task_slices,
                                 const prof::Capture& capture) {

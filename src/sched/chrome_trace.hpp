@@ -26,21 +26,13 @@ std::size_t write_chrome_trace(std::ostream& os, const Timeline& timeline);
 /// Write to a file; false if the file could not be written.
 bool write_chrome_trace_file(const std::string& path, const Timeline& timeline);
 
-/// Chrome trace of REAL (wall-clock) task-pool execution: one trace thread
-/// per pool worker (tid 0 = the master thread), slices named by task with
-/// the urgent/lazy category and schedule step in args. This is the view
-/// that shows the lookahead pipeline actually overlapping — step t+1's
-/// panel tasks running while step t's lazy remainder is still on another
-/// worker (asserted in sched_test).
-std::size_t write_task_trace(std::ostream& os,
-                             const std::vector<TaskSlice>& slices);
-bool write_task_trace_file(const std::string& path,
-                           const std::vector<TaskSlice>& slices);
-
-/// The merged observability trace (CONFLUX_TRACE): the task-pool worker
-/// timeline (pid 0), the factor cores' annotated phase spans (pid 1, one
+/// The merged wall-clock trace (CONFLUX_TRACE): the task-pool worker
+/// timeline (pid 0: one trace thread per pool worker, tid 0 = the master
+/// thread, slices named by task with the urgent/lazy category and schedule
+/// step in args), the factor cores' annotated phase spans (pid 1, one
 /// thread per annotating thread) and the sampled counter tracks as Chrome
-/// "C" counter events (pid 2), in one trace-event file. The caller starts
+/// "C" counter events (pid 2), in one trace-event file. An empty Capture
+/// writes the task-pool view alone. The caller starts
 /// TaskPool::start_recording() and prof::start_capture() back-to-back so
 /// the two wall-clock epochs line up.
 std::size_t write_unified_trace(std::ostream& os,

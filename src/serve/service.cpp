@@ -453,10 +453,19 @@ SolveService::Stats SolveService::stats() const {
   return s;
 }
 
+void SolveService::hold_executors_for_testing(bool held) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = held;
+  }
+  work_cv_.notify_all();
+}
+
 auto SolveService::pop_next() -> std::shared_ptr<RequestState> {
   std::unique_lock<std::mutex> lock(mu_);
   work_cv_.wait(lock, [&] {
     if (stopping_) return true;
+    if (held_) return false;
     for (const auto& q : queues_) {
       if (!q.empty()) return true;
     }

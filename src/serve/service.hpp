@@ -187,6 +187,11 @@ class SolveService {
   };
   Stats stats() const;
 
+  /// Test hook: while held, executors start no new request, so admitted
+  /// requests stay queued until release (or destruction, which cancels
+  /// them). Requests already running are unaffected.
+  void hold_executors_for_testing(bool held);
+
   FactorCache& cache() { return cache_; }
   const ServiceOptions& options() const { return opt_; }
 
@@ -205,6 +210,7 @@ class SolveService {
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
   bool stopping_ = false;
+  bool held_ = false;
   std::deque<std::shared_ptr<RequestState>> queues_[kPriorityClasses];
   Stats stats_;
 

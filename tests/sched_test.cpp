@@ -23,7 +23,6 @@
 
 #include <array>
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <mutex>
 #include <map>
@@ -43,6 +42,8 @@
 #include "sched/taskpool.hpp"
 #include "sched/timeline.hpp"
 #include "tensor/random_matrix.hpp"
+
+#include "json_checker.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -435,119 +436,7 @@ TEST(TraceRealEvents, LuPerKindTotalsMatch) {
 
 // ----------------------------------------------------- Chrome-trace JSON ----
 
-// Minimal recursive-descent JSON syntax checker: enough to guarantee
-// about:tracing / Perfetto can load the file.
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view s) : s_(s) {}
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (eat('}')) return true;
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (!eat(':')) return false;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (eat('}')) return true;
-      if (!eat(',')) return false;
-    }
-  }
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (eat(']')) return true;
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (eat(']')) return true;
-      if (!eat(',')) return false;
-    }
-  }
-  bool string() {
-    if (!eat('"')) return false;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-      }
-      ++pos_;
-    }
-    return eat('"');
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
-    bool digits = false;
-    const auto digit_run = [&] {
-      while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
-        digits = true;
-      }
-    };
-    digit_run();
-    if (pos_ < s_.size() && s_[pos_] == '.') {
-      ++pos_;
-      digit_run();
-    }
-    if (digits && pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
-      bool exp_digits = false;
-      while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
-        exp_digits = true;
-      }
-      if (!exp_digits) return false;
-    }
-    return digits && pos_ > start;
-  }
-  bool literal(const char* lit) {
-    const std::string_view want(lit);
-    if (s_.substr(pos_, want.size()) != want) return false;
-    pos_ += want.size();
-    return true;
-  }
-  bool eat(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
+using test_support::JsonChecker;
 
 TEST(ChromeTrace, ExportIsValidJsonWithPhaseLabels) {
   const index_t n = 64;
@@ -811,10 +700,14 @@ TEST(TaskPool, LookaheadRunOverlapsAcrossStepsInTheRecordedTrace) {
   EXPECT_TRUE(overlapped)
       << "no step t+1 panel task began before step t's lazy gemm ended";
 
+  // The task-pool view of the unified trace (pid 0; an empty capture adds
+  // no phase or counter tracks).
   std::ostringstream os;
-  const std::size_t written = write_task_trace(os, slices);
+  const std::size_t written = write_unified_trace(os, slices, prof::Capture{});
   const std::string json = os.str();
   EXPECT_GT(written, 0u);
+  EXPECT_NE(json.find("\"task pool\""), std::string::npos);
+  EXPECT_EQ(json.find("\"phases\""), std::string::npos);
   EXPECT_NE(json.find("schur-lazy"), std::string::npos);
   EXPECT_NE(json.find("schur-urgent"), std::string::npos);
   EXPECT_NE(json.find("panel-trsm-a10"), std::string::npos);

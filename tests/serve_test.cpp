@@ -259,19 +259,11 @@ TEST(ServeCache, EvictionUnderPressureNeverCorruptsInFlightSolves) {
 // --------------------------------------------------------------------------
 
 TEST(ServeAdmission, FullClassRejectsAndCancellationFreesTheSlot) {
-  // One executor, one slot per class: the blocker (interactive class)
-  // occupies the executor, then the normal class's single slot fills.
+  // One executor, one slot per class, executor held: the normal class's
+  // single slot fills and stays filled until the hold is released.
   ServiceOptions opt = test_options(/*threads=*/1, /*queue_depth=*/1);
   SolveService service(opt);
-
-  const MatrixD big = kfac_kronecker_factor(384, /*seed=*/11);
-  const MatrixD bigb = random_matrix(384, 2, /*seed=*/12);
-  SolveRequest blocker;
-  blocker.method = Method::kCholesky;
-  blocker.priority = Priority::kInteractive;
-  blocker.a = big.view();
-  blocker.b = bigb.view();
-  SolveService::Ticket blocker_ticket = service.submit(blocker);
+  service.hold_executors_for_testing(true);
 
   SolveRequest normal = make_request(0, Method::kLu, Precision::kFp64, 20);
   SolveService::Ticket queued = service.submit(normal);   // fills the slot
@@ -286,10 +278,9 @@ TEST(ServeAdmission, FullClassRejectsAndCancellationFreesTheSlot) {
 
   // ...so the same class admits again, and everything completes cleanly.
   SolveService::Ticket readmitted = service.submit(normal);
+  service.hold_executors_for_testing(false);
   const SolveResponse ok_resp = service.wait(readmitted);
   ASSERT_TRUE(ok_resp.ok()) << ok_resp.status.to_string();
-  const SolveResponse blocker_resp = service.wait(blocker_ticket);
-  ASSERT_TRUE(blocker_resp.ok()) << blocker_resp.status.to_string();
 
   const SolveService::Stats stats = service.stats();
   EXPECT_EQ(stats.admission_rejected, 1);
@@ -299,13 +290,7 @@ TEST(ServeAdmission, FullClassRejectsAndCancellationFreesTheSlot) {
 TEST(ServeAdmission, InteractiveOvertakesBatchInTheQueue) {
   ServiceOptions opt = test_options(/*threads=*/1, /*queue_depth=*/4);
   SolveService service(opt);
-
-  const MatrixD big = kfac_kronecker_factor(320, /*seed=*/13);
-  SolveRequest blocker;
-  blocker.method = Method::kCholesky;
-  blocker.priority = Priority::kInteractive;
-  blocker.a = big.view();
-  SolveService::Ticket blocker_ticket = service.submit(blocker);
+  service.hold_executors_for_testing(true);
 
   SolveRequest batch = make_request(0, Method::kCholesky, Precision::kFp64, 30);
   batch.priority = Priority::kBatch;
@@ -317,13 +302,13 @@ TEST(ServeAdmission, InteractiveOvertakesBatchInTheQueue) {
   // its time-in-queue must cover the interactive request's queue + service.
   SolveService::Ticket batch_ticket = service.submit(batch);
   SolveService::Ticket inter_ticket = service.submit(interactive);
+  service.hold_executors_for_testing(false);
   const SolveResponse inter_resp = service.wait(inter_ticket);
   const SolveResponse batch_resp = service.wait(batch_ticket);
   ASSERT_TRUE(inter_resp.ok());
   ASSERT_TRUE(batch_resp.ok());
   EXPECT_GE(batch_resp.queue_s, inter_resp.queue_s + inter_resp.factor_s)
       << "batch request must not start before the interactive one finishes";
-  (void)service.wait(blocker_ticket);
 }
 
 TEST(ServeAdmission, MalformedRequestIsClassifiedNotExecuted) {
@@ -354,16 +339,12 @@ TEST(ServeAdmission, DestructionResolvesQueuedRequestsAsCancelled) {
   SolveService::Ticket queued;
   {
     SolveService service(test_options(/*threads=*/1, /*queue_depth=*/4));
-    const MatrixD big = kfac_kronecker_factor(320, /*seed=*/14);
-    SolveRequest blocker;
-    blocker.method = Method::kCholesky;
-    blocker.a = big.view();
-    SolveService::Ticket blocker_ticket = service.submit(blocker);
+    // Hold the executor so the request is still queued when the service
+    // destructs, whatever the host's thread scheduling.
+    service.hold_executors_for_testing(true);
     queued = service.submit(make_request(0, Method::kLu, Precision::kFp64, 50));
-    // Service destructs here: the blocker completes, the queued request
-    // must resolve (as cancelled), and no waiter may wedge.
-    const SolveResponse blocker_resp = service.wait(blocker_ticket);
-    ASSERT_TRUE(blocker_resp.ok());
+    // Service destructs here: the queued request must resolve (as
+    // cancelled), and no waiter may wedge.
   }
   SolveService stub(test_options(1));  // unrelated service; ticket outlives its service
   SolveResponse resp;
