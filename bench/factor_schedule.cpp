@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "factor/confchox.hpp"
@@ -169,6 +170,21 @@ double best_wall(int reps, const auto& run) {
   return best;
 }
 
+/// Time one (off, on) overhead pair: `arm(on)` switches the feature under
+/// test, then one run is timed. The leg that runs first alternates with
+/// `rep`: the first run after a switch pays a warm-up cost tens of percent
+/// wide, which a fixed order would charge to one leg every time.
+template <typename Arm, typename Run>
+std::pair<double, double> overhead_pair(int rep, const Arm& arm, const Run& run) {
+  double wall[2] = {0.0, 0.0};
+  for (int leg = 0; leg < 2; ++leg) {
+    const bool on = (leg == 1) != (rep % 2 == 1);
+    arm(on);
+    wall[on ? 1 : 0] = best_wall(1, run);
+  }
+  return {wall[0], wall[1]};
+}
+
 Row run_cell(const std::string& algo, const Cell& c, int reps, bool serial_baseline,
              sched::EventLog* trace_log, xsim::MachineSpec* trace_spec) {
   const grid::Grid3D g(c.px, c.py, c.pz);
@@ -275,10 +291,8 @@ Row run_cell(const std::string& algo, const Cell& c, int reps, bool serial_basel
     row.metrics_wall_s = std::numeric_limits<double>::infinity();
     row.metrics_pair_ratio = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < gate_reps; ++rep) {
-      metrics::set_enabled(false);
-      const double off = best_wall(1, la_run);
-      metrics::set_enabled(true);
-      const double on = best_wall(1, la_run);
+      const auto [off, on] = overhead_pair(
+          rep, [](bool armed) { metrics::set_enabled(armed); }, la_run);
       row.metrics_off_wall_s = std::min(row.metrics_off_wall_s, off);
       row.metrics_wall_s = std::min(row.metrics_wall_s, on);
       // The pair ratio bounds the true overhead from above whenever ONE
@@ -351,10 +365,16 @@ Row run_cell(const std::string& algo, const Cell& c, int reps, bool serial_basel
     row.ckpt_wall_s = std::numeric_limits<double>::infinity();
     row.ckpt_pair_ratio = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < gate_reps; ++rep) {
-      recover::reset();
-      const double off = best_wall(1, la_run);
-      recover::configure(ckpt_on);
-      const double on = best_wall(1, la_run);
+      const auto [off, on] = overhead_pair(
+          rep,
+          [&](bool armed) {
+            if (armed) {
+              recover::configure(ckpt_on);
+            } else {
+              recover::reset();
+            }
+          },
+          la_run);
       recover::reset();
       row.ckpt_off_wall_s = std::min(row.ckpt_off_wall_s, off);
       row.ckpt_wall_s = std::min(row.ckpt_wall_s, on);
@@ -379,10 +399,16 @@ Row run_cell(const std::string& algo, const Cell& c, int reps, bool serial_basel
     row.abft_wall_s = std::numeric_limits<double>::infinity();
     row.abft_pair_ratio = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < gate_reps; ++rep) {
-      recover::reset();
-      const double off = best_wall(1, la_run);
-      recover::configure(abft_on);
-      const double on = best_wall(1, la_run);
+      const auto [off, on] = overhead_pair(
+          rep,
+          [&](bool armed) {
+            if (armed) {
+              recover::configure(abft_on);
+            } else {
+              recover::reset();
+            }
+          },
+          la_run);
       recover::reset();
       row.abft_off_wall_s = std::min(row.abft_off_wall_s, off);
       row.abft_wall_s = std::min(row.abft_wall_s, on);

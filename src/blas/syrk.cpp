@@ -5,6 +5,7 @@
 // is ever read or written. Templated over the scalar (float/double
 // instantiations below).
 #include <cmath>
+#include <vector>
 
 #include "blas/blas.hpp"
 #include "blas/tuning.hpp"

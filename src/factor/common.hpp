@@ -3,10 +3,14 @@
 // row-masking pivot strategy (Section 7.3).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "grid/grid.hpp"
+#include "sched/rank_parallel.hpp"
 #include "support/rng.hpp"
 #include "support/status.hpp"
 #include "tensor/matrix.hpp"
@@ -226,6 +230,93 @@ class GridLineCache {
 index_t chunk_offset(index_t total, int parts, int r);
 inline index_t chunk_size(index_t total, int parts, int r) {
   return chunk_offset(total, parts, r + 1) - chunk_offset(total, parts, r);
+}
+
+/// Fill a factor core's npad x npad working buffer `work` from the n x n
+/// input in one pass: row i < n takes row i of `a` (only its lower triangle
+/// when `lower`) followed by zeros, padding rows i >= n are identity rows,
+/// and every row of `zero_too` (LU's factor store, when given) is zeroed.
+/// The pass runs in fixed row blocks (sched::for_row_blocks), so the pages
+/// of freshly allocated buffers fault in on every thread. Returns max|a|
+/// over the copied entries — a max, so exact in any block order — and, if
+/// any of them is NaN or infinite, throws kNonFinite on the calling thread
+/// once the pass is done.
+template <typename T>
+double load_input(ConstMatrixView<T> a, bool lower, Matrix<T>& work,
+                  Matrix<T>* zero_too = nullptr) {
+  const index_t n = a.rows();
+  const index_t npad = work.rows();
+  const index_t nblocks = sched::num_row_blocks(npad);
+  std::vector<double> block_max(static_cast<std::size_t>(nblocks), 0.0);
+  std::vector<unsigned char> block_finite(static_cast<std::size_t>(nblocks), 1);
+  sched::for_row_blocks(npad, [&](index_t blk, index_t i0, index_t i1) {
+    constexpr double kMaxFinite = std::numeric_limits<double>::max();
+    double amax = 0.0;
+    bool finite = true;
+    for (index_t i = i0; i < i1; ++i) {
+      T* dst = work.data() + i * npad;
+      index_t copied = 0;
+      if (i < n) {
+        copied = lower ? i + 1 : n;
+        const T* src = a.row(i);
+        for (index_t j = 0; j < copied; ++j) {
+          const double d = std::abs(static_cast<double>(src[j]));
+          finite &= d <= kMaxFinite;
+          amax = d > amax ? d : amax;
+          dst[j] = src[j];
+        }
+      }
+      std::fill(dst + copied, dst + npad, T{});
+      if (i >= n) dst[i] = T{1};
+      if (zero_too != nullptr) std::fill_n(zero_too->data() + i * npad, npad, T{});
+    }
+    block_max[static_cast<std::size_t>(blk)] = amax;
+    block_finite[static_cast<std::size_t>(blk)] = finite ? 1 : 0;
+  });
+  if (std::find(block_finite.begin(), block_finite.end(), 0) != block_finite.end()) {
+    throw status_error(
+        Status(StatusCode::kNonFinite, "input matrix contains a non-finite value"));
+  }
+  return *std::max_element(block_max.begin(), block_max.end());  // npad >= 1
+}
+
+/// Hand a factor core's npad x npad working buffer over as the n x n result
+/// factors: result row i is `work` row perm[i] (row i when perm is empty),
+/// columns [0, n). Unpadded runs (npad == n) move the buffer itself out —
+/// after permuting its rows in place, cycle by cycle through the one-row
+/// `scratch` — so the result costs no second n^2 buffer; padded runs copy
+/// into a fresh n x n matrix. `work` is left empty either way.
+template <typename T>
+Matrix<T> take_factors(Matrix<T>& work, index_t n, const std::vector<index_t>& perm,
+                       T* scratch) {
+  const index_t npad = work.rows();
+  const auto src_row = [&](index_t i) {
+    return perm.empty() ? i : perm[static_cast<std::size_t>(i)];
+  };
+  if (npad == n) {
+    const auto row = [&](index_t i) { return work.data() + i * n; };
+    std::vector<bool> placed(perm.size(), false);
+    for (index_t start = 0; start < static_cast<index_t>(perm.size()); ++start) {
+      if (placed[static_cast<std::size_t>(start)] || src_row(start) == start) continue;
+      std::copy_n(row(start), n, scratch);
+      index_t i = start;
+      for (index_t j = src_row(i); j != start; i = j, j = src_row(i)) {
+        std::copy_n(row(j), n, row(i));
+        placed[static_cast<std::size_t>(i)] = true;
+      }
+      std::copy_n(scratch, n, row(i));
+      placed[static_cast<std::size_t>(i)] = true;
+    }
+    return std::move(work);
+  }
+  Matrix<T> out(n, n, kUnfilled);
+  sched::for_row_blocks(n, [&](index_t, index_t i0, index_t i1) {
+    for (index_t i = i0; i < i1; ++i) {
+      std::copy_n(work.data() + src_row(i) * npad, n, out.data() + i * n);
+    }
+  });
+  work = Matrix<T>();
+  return out;
 }
 
 /// Snapshot-based recorder: measures machine-total word/flop deltas around

@@ -790,23 +790,14 @@ CholResultT<T> run_confchox(xsim::Machine& m, const grid::Grid3D& g, index_t n,
   // last resort when ABFT detects corruption and no checkpoint exists — the
   // caller's view of `a` is untouched by the run.
   const auto init_state = [&] {
-    run.amax = 0.0;
+    prof::ScopedSpan span("init-state");
     run.health = FactorHealth{};
     run.health.min_pivot = std::numeric_limits<double>::infinity();
-    run.fac = Matrix<T>(npad, npad, T{});
-    for (index_t i = 0; i < n; ++i) {
-      for (index_t j = 0; j <= i; ++j) {
-        const T val = a(i, j);
-        if (!std::isfinite(static_cast<double>(val))) {
-          throw status_error(Status(
-              StatusCode::kNonFinite, "input matrix contains a non-finite value"));
-        }
-        const double d = std::abs(static_cast<double>(val));
-        if (d > run.amax) run.amax = d;
-        run.fac(i, j) = val;
-      }
-    }
-    for (index_t r = n; r < npad; ++r) run.fac(r, r) = T{1};
+    // Unfilled: load_input writes every element, the strict upper triangle
+    // as zeros, which no later phase writes — so `fac` can become the
+    // result as it stands. A rollback re-initializes the buffer it has.
+    if (run.fac.rows() != npad) run.fac = Matrix<T>(npad, npad, kUnfilled);
+    run.amax = load_input<T>(a, /*lower=*/true, run.fac);
   };
 
   if (run.real) {
@@ -933,13 +924,11 @@ CholResultT<T> run_confchox(xsim::Machine& m, const grid::Grid3D& g, index_t n,
   }
 
   if (run.real) {
-    result.factors = Matrix<T>(n, n, T{});
-    for (index_t i = 0; i < n; ++i) {
-      for (index_t j = 0; j <= i; ++j) result.factors(i, j) = run.fac(i, j);
-    }
+    prof::ScopedSpan span("assemble-factors");
     result.workspace_words =
         static_cast<double>(run.fac.size()) * words_per_scalar<T>() +
         run.ws.words();
+    result.factors = take_factors<T>(run.fac, n, {}, nullptr);
     if (!std::isfinite(run.health.min_pivot)) run.health.min_pivot = 0.0;
     result.health = run.health;
   }

@@ -1173,25 +1173,15 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
   // rollback of last resort when ABFT detects corruption and no checkpoint
   // exists — the caller's view of `a` is untouched by the run.
   const auto init_packed_state = [&] {
-    run.amax = 0.0;
+    prof::ScopedSpan span("init-state");
     run.umax = 0.0;
     run.health = FactorHealth{};
     run.health.min_pivot = std::numeric_limits<double>::infinity();
-    run.trail = Matrix<T>(npad, npad, T{});
-    for (index_t i = 0; i < n; ++i) {
-      for (index_t j = 0; j < n; ++j) {
-        const T val = a(i, j);
-        if (!std::isfinite(static_cast<double>(val))) {
-          throw status_error(Status(
-              StatusCode::kNonFinite, "input matrix contains a non-finite value"));
-        }
-        const double d = std::abs(static_cast<double>(val));
-        if (d > run.amax) run.amax = d;
-        run.trail(i, j) = val;
-      }
-    }
-    for (index_t r = n; r < npad; ++r) run.trail(r, r) = T{1};
-    run.lstore = Matrix<T>(npad, npad, T{});
+    // Unfilled: load_input writes every element, in parallel row blocks. A
+    // rollback re-initializes the buffers it already has.
+    if (run.trail.rows() != npad) run.trail = Matrix<T>(npad, npad, kUnfilled);
+    if (run.lstore.rows() != npad) run.lstore = Matrix<T>(npad, npad, kUnfilled);
+    run.amax = load_input<T>(a, /*lower=*/false, run.trail, &run.lstore);
     run.nact = npad;
     run.rowmap.resize(static_cast<std::size_t>(npad));
     run.rowpos.resize(static_cast<std::size_t>(npad));
@@ -1543,6 +1533,7 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
   }
 
   // Assemble the user-facing permutation and factors (drop the padding).
+  prof::ScopedSpan assemble_span("assemble-factors");
   result.perm.reserve(static_cast<std::size_t>(n));
   for (index_t i = 0; i < npad; ++i) {
     const index_t row = perm_pad[static_cast<std::size_t>(i)];
@@ -1553,15 +1544,14 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
     check(std::all_of(perm_pad.begin(), perm_pad.begin() + n,
                       [&](index_t r) { return r < n; }),
           "real rows must be eliminated before padding rows");
-    result.factors = Matrix<T>(n, n);
-    for (index_t i = 0; i < n; ++i) {
-      const index_t row = result.perm[static_cast<std::size_t>(i)];
-      for (index_t j = 0; j < n; ++j) result.factors(i, j) = run.lstore(row, j);
-    }
-    result.workspace_words =
-        (static_cast<double>(run.trail.size()) +
-         static_cast<double>(run.lstore.size())) * words_per_scalar<T>() +
-        run.ws.words();
+    const double buffer_words = static_cast<double>(run.trail.size()) +
+                                static_cast<double>(run.lstore.size());
+    // The trailing accumulator is dead: release it before a padded run
+    // copies out its factors, and hand lstore over as the result.
+    run.trail = Matrix<T>();
+    result.factors = take_factors<T>(run.lstore, n, result.perm,
+                                     run.ws.template mat<T>(kPivotRows0, 1, npad).data());
+    result.workspace_words = buffer_words * words_per_scalar<T>() + run.ws.words();
     run.health.growth_factor = run.amax > 0.0 ? run.umax / run.amax : 0.0;
     if (!std::isfinite(run.health.min_pivot)) run.health.min_pivot = 0.0;
     result.health = run.health;

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "blas/blas.hpp"
+#include "sched/rank_parallel.hpp"
 #include "support/check.hpp"
 
 namespace conflux::factor {
@@ -174,10 +175,15 @@ MixedSolveReport solve_ladder(ConstViewD a, ViewD b,
   // ground truth, and near-singular / growth flags can be pessimistic.
   StatusCode f32_code = StatusCode::kOk;
   {
-    MatrixF af(a.rows(), a.cols());
-    // Entries beyond fp32 range convert to inf; the factorization's input
-    // scan classifies that as kNonFinite and the ladder steps down.
-    convert<double, float>(a, af.view());
+    // Unfilled, then converted in parallel row blocks so its pages fault
+    // in on every thread. Entries beyond fp32 range convert to inf; the
+    // factorization's input scan classifies that as kNonFinite and the
+    // ladder steps down.
+    MatrixF af(a.rows(), a.cols(), kUnfilled);
+    sched::for_row_blocks(a.rows(), [&](index_t, index_t i0, index_t i1) {
+      convert<double, float>(a.block(i0, 0, i1 - i0, a.cols()),
+                             af.block(i0, 0, i1 - i0, a.cols()));
+    });
     auto f32 = factor32(af.view());
     f32_code = f32.status().code();
     if (f32.has_value()) {

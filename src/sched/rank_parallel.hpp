@@ -20,6 +20,8 @@
 // guard here covers callers nested under foreign OpenMP regions).
 #pragma once
 
+#include <algorithm>
+
 #include "sched/taskpool.hpp"
 #include "tensor/matrix.hpp"
 
@@ -48,6 +50,28 @@ inline constexpr index_t kRowBlock = 128;
 
 inline index_t num_row_blocks(index_t rows) {
   return rows > 0 ? (rows + kRowBlock - 1) / kRowBlock : 0;
+}
+
+/// Passes over fewer row blocks than this run inline: the fan-out costs
+/// more than it saves on small matrices (and keeps small requests, such as
+/// the solve service's, off the pool).
+inline constexpr index_t kMinParallelRowBlocks = 8;
+
+/// Run body(blk, i0, i1) over the fixed kRowBlock row blocks [i0, i1) of
+/// `rows` rows: a streaming pass (fill, copy, convert) whose pages then
+/// fault in on several threads at once. Blocks must write disjoint rows.
+template <typename Body>
+void for_row_blocks(index_t rows, Body&& body) {
+  const index_t nblocks = num_row_blocks(rows);
+  const auto block = [&](index_t blk) {
+    const index_t i0 = blk * kRowBlock;
+    body(blk, i0, std::min(rows, i0 + kRowBlock));
+  };
+  if (nblocks < kMinParallelRowBlocks) {
+    for (index_t blk = 0; blk < nblocks; ++blk) block(blk);
+  } else {
+    parallel_ranks(nblocks, block);
+  }
 }
 
 }  // namespace conflux::sched

@@ -5,9 +5,10 @@
 // objects, and examples exchange Matrix values with the factorization API.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <utility>
-#include <vector>
 
 #include "support/check.hpp"
 
@@ -20,15 +21,54 @@ class MatrixView;
 template <typename T>
 class ConstMatrixView;
 
+/// Tag selecting Matrix's unfilled constructor.
+struct Unfilled {};
+inline constexpr Unfilled kUnfilled{};
+
 /// Owning dense matrix, row-major, contiguous (leading dimension == cols).
+///
+/// Storage is a plain array, not a std::vector, so that a matrix can be
+/// allocated without touching its pages (the kUnfilled constructor): the
+/// factor cores write every element of their n^2 buffers in one parallel
+/// pass, and a serial fill first would fault every page in on one thread.
+/// Copies and fills stay std::copy_n / std::fill_n, i.e. memcpy/memset speed.
 template <typename T>
 class Matrix {
  public:
   Matrix() = default;
 
-  Matrix(index_t rows, index_t cols, T fill = T{})
-      : rows_(rows), cols_(cols), data_(static_cast<std::size_t>(rows * cols), fill) {
+  Matrix(index_t rows, index_t cols, T fill = T{}) : Matrix(rows, cols, kUnfilled) {
+    std::fill_n(data(), static_cast<std::size_t>(size()), fill);
+  }
+
+  /// A rows x cols matrix whose elements are left uninitialized: the caller
+  /// must write every element before reading it.
+  Matrix(index_t rows, index_t cols, Unfilled) : rows_(rows), cols_(cols) {
     expects(rows >= 0 && cols >= 0, "matrix dimensions must be non-negative");
+    if (size() > 0) data_ = std::make_unique_for_overwrite<T[]>(static_cast<std::size_t>(size()));
+  }
+
+  Matrix(const Matrix& other) : Matrix(other.rows_, other.cols_, kUnfilled) {
+    std::copy_n(other.data(), static_cast<std::size_t>(size()), data());
+  }
+  Matrix(Matrix&& other) noexcept
+      : rows_(std::exchange(other.rows_, 0)),
+        cols_(std::exchange(other.cols_, 0)),
+        data_(std::move(other.data_)) {}
+  Matrix& operator=(const Matrix& other) {
+    if (this != &other) {
+      if (size() != other.size()) *this = Matrix(other.rows_, other.cols_, kUnfilled);
+      rows_ = other.rows_;
+      cols_ = other.cols_;
+      std::copy_n(other.data(), static_cast<std::size_t>(size()), data());
+    }
+    return *this;
+  }
+  Matrix& operator=(Matrix&& other) noexcept {
+    rows_ = std::exchange(other.rows_, 0);
+    cols_ = std::exchange(other.cols_, 0);
+    data_ = std::move(other.data_);
+    return *this;
   }
 
   index_t rows() const { return rows_; }
@@ -36,31 +76,30 @@ class Matrix {
   index_t size() const { return rows_ * cols_; }
   bool empty() const { return size() == 0; }
 
-  T& operator()(index_t i, index_t j) {
-    return data_[static_cast<std::size_t>(i * cols_ + j)];
-  }
+  T& operator()(index_t i, index_t j) { return data_[static_cast<std::size_t>(i * cols_ + j)]; }
   const T& operator()(index_t i, index_t j) const {
     return data_[static_cast<std::size_t>(i * cols_ + j)];
   }
 
-  T* data() { return data_.data(); }
-  const T* data() const { return data_.data(); }
+  T* data() { return data_.get(); }
+  const T* data() const { return data_.get(); }
 
   MatrixView<T> view();
   ConstMatrixView<T> view() const;
   MatrixView<T> block(index_t i0, index_t j0, index_t nrows, index_t ncols);
   ConstMatrixView<T> block(index_t i0, index_t j0, index_t nrows, index_t ncols) const;
 
-  void fill(T value) { data_.assign(data_.size(), value); }
+  void fill(T value) { std::fill_n(data(), static_cast<std::size_t>(size()), value); }
 
   friend bool operator==(const Matrix& a, const Matrix& b) {
-    return a.rows_ == b.rows_ && a.cols_ == b.cols_ && a.data_ == b.data_;
+    return a.rows_ == b.rows_ && a.cols_ == b.cols_ &&
+           std::equal(a.data(), a.data() + a.size(), b.data());
   }
 
  private:
   index_t rows_ = 0;
   index_t cols_ = 0;
-  std::vector<T> data_;
+  std::unique_ptr<T[]> data_;
 };
 
 /// Non-owning mutable view with an explicit leading dimension (row stride).

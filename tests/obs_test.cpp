@@ -8,6 +8,7 @@
 // sanitizer jobs (TSan/ASan in CI) see the actual interleavings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <sstream>
@@ -320,6 +321,35 @@ TEST(Obs, ScopedSpanRecordsOnlyWhileCapturing) {
   { prof::ScopedSpan late("after-stop", 4); }
   prof::start_capture();
   EXPECT_TRUE(prof::stop_capture().spans.empty());
+}
+
+TEST(Obs, FactorCoresSpanTheirInputAndAssemblyGlue) {
+  // The input fill and the factor hand-off are named phases, once per run,
+  // so the trace attributes them instead of leaving a gap between spans.
+  const index_t n = 64;
+  const grid::Grid3D g(2, 2, 1);
+  const MatrixD a = random_matrix(n, n, 17);
+  const MatrixD spd = random_spd_matrix(n, 19);
+  const auto count = [](const prof::Capture& cap, std::string_view name) {
+    return std::count_if(cap.spans.begin(), cap.spans.end(),
+                         [&](const prof::SpanRecord& s) { return s.name == name; });
+  };
+  for (const bool lu : {true, false}) {
+    prof::start_capture();
+    {
+      xsim::Machine m = real_machine();
+      if (lu) {
+        factor::conflux_lu(m, g, a.view(), small_options());
+      } else {
+        factor::confchox(m, g, spd.view(), small_options());
+      }
+    }
+    const prof::Capture cap = prof::stop_capture();
+    EXPECT_EQ(count(cap, "init-state"), 1) << (lu ? "lu" : "chol");
+    EXPECT_EQ(count(cap, "assemble-factors"), 1) << (lu ? "lu" : "chol");
+    // The step phases keep their own spans: one Schur update per step.
+    EXPECT_EQ(count(cap, "schur-update"), 4) << (lu ? "lu" : "chol");
+  }
 }
 
 using test_support::JsonChecker;

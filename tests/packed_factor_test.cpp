@@ -13,12 +13,19 @@
 //    fused buffer), not (pz + 1) * npad^2;
 //  - the steady state allocates nothing: the per-run scratch (tournament
 //    gathers, retirement pairs, grid-line caches) is sized once, so the
-//    heap-allocation count of a run does not depend on the step count.
+//    heap-allocation count of a run does not depend on the step count;
+//  - the working buffer becomes the result: a run allocates at most two
+//    (LU) / one (Cholesky) npad^2 blocks, the returned factors included,
+//    and Cholesky's returned strict upper triangle is exactly zero;
+//  - the parallel input pass reports a non-finite value in any row block.
 // Shapes are deliberately ragged (n not a multiple of v) and pz in {1,2,4}.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
 
 #include "blas/blas.hpp"
@@ -37,14 +44,22 @@
 // Global allocation counter: the replaceable ordinary operator new/delete
 // pair is overridden for this test binary only, so the steady-state test
 // below can assert that a factorization's allocation count is independent
-// of its step count. (The default array and nothrow forms forward to the
-// ordinary form, so counting here covers them too.)
+// of its step count, and the buffer-count test that a run allocates no
+// more matrix-sized blocks than its data path needs. (The default array
+// and nothrow forms forward to the ordinary form, so counting here covers
+// them too.)
 namespace {
 std::atomic<long long> g_alloc_count{0};
+// Allocations of at least g_big_bytes bytes (none while it is SIZE_MAX).
+std::atomic<std::size_t> g_big_bytes{SIZE_MAX};
+std::atomic<long long> g_big_count{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (size >= g_big_bytes.load(std::memory_order_relaxed)) {
+    g_big_count.fetch_add(1, std::memory_order_relaxed);
+  }
   void* p = std::malloc(size ? size : 1);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -628,6 +643,187 @@ TEST(PackedWorkspace, PeakWordsStayNearOneMatrixForCholesky) {
     const CholResult ch = confchox(m, g, a.view(), FactorOptions{.block_size = v});
     EXPECT_GE(ch.workspace_words, npad2) << "pz=" << pz;
     EXPECT_LE(ch.workspace_words, 1.1 * npad2) << "pz=" << pz;
+  }
+}
+
+
+// ------------------------------------------------- result hand-off ----
+
+/// Fail unless every strict-upper-triangle element of `l` is +0.0 exactly.
+template <typename T>
+void expect_strict_upper_zero(const Matrix<T>& l, const std::string& what) {
+  for (index_t i = 0; i < l.rows(); ++i) {
+    for (index_t j = i + 1; j < l.cols(); ++j) {
+      const T x = l(i, j);
+      if (x != T{0} || std::signbit(x)) {
+        ADD_FAILURE() << what << ": L(" << i << ", " << j << ") = " << x;
+        return;
+      }
+    }
+  }
+}
+
+TEST(PackedHandOff, CholeskyStrictUpperTriangleIsExactlyZero) {
+  // The fused buffer is handed over as the result without a copy, so the
+  // zeros load_input writes above the diagonal must survive every phase:
+  // lookahead on and off, ABFT maintenance and sweeps, and a resume from a
+  // checkpoint (whose snapshots carry only the lower triangle). Unpadded
+  // (96) and padded (100) shapes take the move and the copy path.
+  for (const index_t n : {96, 100}) {
+    const MatrixD spd = random_spd_matrix(n, 131);
+    const grid::Grid3D g(2, 2, 2);
+    for (const int lookahead : {0, 1}) {
+      FactorOptions opt;
+      opt.block_size = 16;
+      opt.lookahead = lookahead;
+      const std::string tag =
+          "n=" + std::to_string(n) + " la=" + std::to_string(lookahead);
+      {
+        recover::ScopedOptions so(recover::Options{});
+        xsim::Machine m = make_machine(g, n);
+        expect_strict_upper_zero(confchox(m, g, spd.view(), opt).factors, tag);
+      }
+      {
+        recover::Options ro;
+        ro.abft = true;
+        ro.abft_every = 1;
+        recover::ScopedOptions so(ro);
+        xsim::Machine m = make_machine(g, n);
+        expect_strict_upper_zero(confchox(m, g, spd.view(), opt).factors,
+                                 tag + " abft");
+      }
+      {
+        recover::Options ro;
+        ro.ckpt_every = 4;
+        recover::ScopedOptions so(ro);
+        recover::clear();
+        xsim::Machine m = make_machine(g, n);
+        const CholResult direct = confchox(m, g, spd.view(), opt);
+        xsim::Machine m2 = make_machine(g, n);
+        const CholResult resumed = resume_confchox(m2, g, spd.view(), opt);
+        expect_strict_upper_zero(resumed.factors, tag + " resumed");
+        EXPECT_EQ(direct.factors, resumed.factors) << tag;
+        recover::clear();
+      }
+    }
+  }
+}
+
+TEST(PackedHandOff, PaddedFactorsAreTheLeadingBlockOfTheExplicitlyPaddedRun) {
+  // A padded run (v does not divide n) copies its n x n factors out of the
+  // npad x npad working buffer; an unpadded run hands the buffer over. The
+  // padded run's working state is exactly that of an unpadded run on the
+  // input padded by hand (identity rows, zero columns), so its factors must
+  // be bitwise the leading n x n block of that run's — for LU too, since
+  // real rows are eliminated before padding rows.
+  const index_t n = 100, v = 16, npad = 112;
+  const grid::Grid3D g(2, 2, 2);
+  const FactorOptions opt{.block_size = v};
+  const auto pad = [&](const MatrixD& a) {
+    MatrixD p(npad, npad, 0.0);
+    copy<double>(a.view(), p.block(0, 0, n, n));
+    for (index_t r = n; r < npad; ++r) p(r, r) = 1.0;
+    return p;
+  };
+  const auto leading = [&](const MatrixD& f) {
+    MatrixD out(n, n);
+    copy<double>(f.block(0, 0, n, n), out.view());
+    return out;
+  };
+  const MatrixD a = random_matrix(n, n, 137);
+  const MatrixD spd = random_spd_matrix(n, 139);
+  xsim::Machine m1 = make_machine(g, npad);
+  xsim::Machine m2 = make_machine(g, npad);
+  const LuResult lu = conflux_lu(m1, g, a.view(), opt);
+  const LuResult lu_pad = conflux_lu(m2, g, pad(a).view(), opt);
+  ASSERT_EQ(lu.factors.rows(), n);
+  EXPECT_EQ(std::vector<index_t>(lu_pad.perm.begin(), lu_pad.perm.begin() + n), lu.perm);
+  EXPECT_EQ(leading(lu_pad.factors), lu.factors);
+  xsim::Machine m3 = make_machine(g, npad);
+  xsim::Machine m4 = make_machine(g, npad);
+  const CholResult ch = confchox(m3, g, spd.view(), opt);
+  const CholResult ch_pad = confchox(m4, g, pad(spd).view(), opt);
+  ASSERT_EQ(ch.factors.rows(), n);
+  EXPECT_EQ(leading(ch_pad.factors), ch.factors);
+}
+
+template <typename T>
+void expect_non_finite_detected(index_t n, index_t row, T bad) {
+  const grid::Grid3D g(2, 2, 1);
+  const FactorOptions opt{.block_size = 64};
+  const MatrixD a64 = random_matrix(n, n, 149);
+  Matrix<T> a(n, n);
+  convert<double, T>(a64.view(), a.view());
+  // Column 0 lies in the lower triangle, which is all Cholesky reads.
+  a(row, 0) = bad;
+  const std::string what = "n=" + std::to_string(n) + " row=" + std::to_string(row) +
+                           " sizeof(T)=" + std::to_string(sizeof(T));
+  xsim::Machine m1 = make_machine(g, n);
+  const auto lu = try_conflux_lu(m1, g, a.view(), opt);
+  ASSERT_FALSE(lu.ok()) << what;
+  EXPECT_EQ(lu.status().code(), StatusCode::kNonFinite) << what;
+  xsim::Machine m2 = make_machine(g, n);
+  const auto ch = try_confchox(m2, g, a.view(), opt);
+  ASSERT_FALSE(ch.ok()) << what;
+  EXPECT_EQ(ch.status().code(), StatusCode::kNonFinite) << what;
+}
+
+TEST(PackedHandOff, NonFiniteInputIsClassifiedInEveryRowBlock) {
+  // The input pass scans in row blocks (in parallel from
+  // kMinParallelRowBlocks blocks up) and raises kNonFinite on the caller
+  // after the pass: a bad value in the first, a middle, the last, or the
+  // padded row block must be reported, in fp32 and fp64. n = 1024 is 8
+  // blocks (the parallel pass); n = 1000 pads to 1024, so its last block
+  // mixes input and padding rows; n = 100 takes the inline pass.
+  static_assert(sched::kMinParallelRowBlocks * sched::kRowBlock <= 1024);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const index_t row : {index_t{0}, index_t{512}, index_t{1023}}) {
+    expect_non_finite_detected<double>(1024, row, nan);
+    expect_non_finite_detected<float>(1024, row, static_cast<float>(nan));
+  }
+  expect_non_finite_detected<double>(1000, 999, nan);
+  expect_non_finite_detected<float>(1000, 999, static_cast<float>(nan));
+  expect_non_finite_detected<double>(1000, 900, -inf);
+  expect_non_finite_detected<float>(100, 99, static_cast<float>(inf));
+}
+
+template <typename T>
+void expect_matrix_sized_blocks(index_t n, long long lu_max, long long chol_max) {
+  const index_t v = 16;
+  const index_t npad = (n + v - 1) / v * v;
+  const grid::Grid3D g(2, 2, 2);
+  const MatrixD a64 = random_matrix(n, n, 151);
+  const MatrixD spd64 = random_spd_matrix(n, 157);
+  Matrix<T> a(n, n), spd(n, n);
+  convert<double, T>(a64.view(), a.view());
+  convert<double, T>(spd64.view(), spd.view());
+  // Checkpoint snapshots are matrix-sized blobs by design: keep them off.
+  recover::ScopedOptions so(recover::Options{});
+  const FactorOptions opt{.block_size = v};
+  const auto count = [&](const auto& run) {
+    g_big_count.store(0, std::memory_order_relaxed);
+    g_big_bytes.store(static_cast<std::size_t>(npad * npad) * sizeof(T),
+                      std::memory_order_relaxed);
+    const auto r = run();
+    g_big_bytes.store(SIZE_MAX, std::memory_order_relaxed);
+    EXPECT_EQ(r.factors.rows(), n);
+    return g_big_count.load(std::memory_order_relaxed);
+  };
+  xsim::Machine m1 = make_machine(g, n);
+  xsim::Machine m2 = make_machine(g, n);
+  const std::string what = "n=" + std::to_string(n) + " sizeof(T)=" + std::to_string(sizeof(T));
+  EXPECT_LE(count([&] { return conflux_lu(m1, g, a.view(), opt); }), lu_max) << what;
+  EXPECT_LE(count([&] { return confchox(m2, g, spd.view(), opt); }), chol_max) << what;
+}
+
+TEST(PackedHandOff, RunAllocatesOnlyItsWorkingBuffers) {
+  // LU: trail + lstore, and lstore becomes the factors; Cholesky: the one
+  // fused buffer, which becomes the factors. A padded run's n x n copy is
+  // smaller than npad^2, so it does not count against the budget.
+  for (const index_t n : {256, 250}) {
+    expect_matrix_sized_blocks<double>(n, 2, 1);
+    expect_matrix_sized_blocks<float>(n, 2, 1);
   }
 }
 
