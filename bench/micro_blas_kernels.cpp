@@ -16,6 +16,8 @@
 // describe; per-ISA gemm rows (`gemm_isa_*`) cover each kernel the host can
 // run, and the dispatched-vs-portable fp64 gate fails the run (and CI) if
 // runtime dispatch ever picks a slower kernel than the portable baseline.
+// The `trsm_panel_*` rows time the factorizations' panel solves and record
+// `pct_gemm`, their rate as a percentage of gemm at the same shape.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +60,9 @@ struct Result {
   // Microkernel ISA active while this row was measured (rows under a
   // ScopedIsa force record the forced ISA, not the dispatched one).
   std::string isa = xblas::isa_name(xblas::active_isa());
+  // Panel-solve rows only: GF/s as a percentage of a gemm with the same
+  // shape at the same thread count (negative = not recorded).
+  double pct_gemm = -1.0;
 };
 
 // Thread count the whole run was measured with; recorded per JSON row so
@@ -122,6 +127,7 @@ bool write_json(const std::string& path, const std::vector<Result>& results) {
     w.field("isa", std::string_view(r.isa));
     w.field("tuning_source", xblas::tuning_source());
     w.field("git_describe", conflux::git_describe());
+    if (r.pct_gemm >= 0.0) w.field("pct_gemm", r.pct_gemm);
     w.end_object();
   }
   w.end_array();
@@ -254,6 +260,72 @@ int main(int argc, char** argv) {
                   [&] { xblas::potrf(ch.view()); }),
         min_time));
     print_result(results.back());
+  }
+
+  // ---- panel solves at the factorizations' shapes ----
+  // The triangle is one 64 x 64 diagonal block (v = 64 at the n = 2048
+  // P = 64 cell), the right-hand side 2048 long: LU's A10 solve
+  // (rows x 64, Right/Upper), its A01 solve (64 x cols, Left/Lower/Unit),
+  // and Cholesky's L10 solve (Right/Lower/Transpose). Each row also reports
+  // its rate as a share of gemm at the same shape — the rank-64 product
+  // with the RHS panel's dimensions — and the same thread count.
+  {
+    const index_t db = 64;
+    const index_t len = 2048;
+    MatrixD tri = conflux::random_matrix(db, db, 7);
+    for (index_t i = 0; i < db; ++i) tri(i, i) += 4.0;
+    const MatrixD tall = conflux::random_matrix(len, db, 8);
+    const MatrixD wide = conflux::random_matrix(db, len, 9);
+    const auto gemm_gflops = [&](const MatrixD& a, const MatrixD& b) {
+      MatrixD c(a.rows(), b.cols(), 0.0);
+      return time_kernel("gemm", len, xblas::gemm_flops(a.rows(), b.cols(), db),
+                         timed_run([&] {
+                           xblas::gemm(xblas::Trans::None, xblas::Trans::None,
+                                       1.0, a.view(), b.view(), 0.0, c.view());
+                         }),
+                         min_time)
+          .gflops;
+    };
+    const double gemm_tall = gemm_gflops(tall, tri);
+    const double gemm_wide = gemm_gflops(tri, wide);
+    struct PanelCase {
+      const char* name;
+      xblas::Side side;
+      xblas::UpLo uplo;
+      xblas::Trans trans;
+      xblas::Diag diag;
+    };
+    const PanelCase cases[] = {
+        {"trsm_panel_run", xblas::Side::Right, xblas::UpLo::Upper,
+         xblas::Trans::None, xblas::Diag::NonUnit},
+        {"trsm_panel_lln", xblas::Side::Left, xblas::UpLo::Lower,
+         xblas::Trans::None, xblas::Diag::Unit},
+        {"trsm_panel_rlt", xblas::Side::Right, xblas::UpLo::Lower,
+         xblas::Trans::Transpose, xblas::Diag::NonUnit},
+    };
+    std::printf("\nPanel solves (64-wide triangle, RHS length %lld):\n",
+                static_cast<long long>(len));
+    for (const PanelCase& pc : cases) {
+      const bool left = pc.side == xblas::Side::Left;
+      const MatrixD& rhs = left ? wide : tall;
+      MatrixD x(rhs.rows(), rhs.cols());
+      Result r = time_kernel(
+          pc.name, len, xblas::trsm_flops(rhs.rows(), rhs.cols(), pc.side),
+          timed_run([&] { conflux::copy<double>(rhs.view(), x.view()); },
+                    [&] {
+                      xblas::trsm(pc.side, pc.uplo, pc.trans, pc.diag, 1.0,
+                                  tri.view(), x.view());
+                    }),
+          min_time);
+      const double gemm_gf = left ? gemm_wide : gemm_tall;
+      r.pct_gemm = 100.0 * r.gflops / gemm_gf;
+      results.push_back(r);
+      print_result(r);
+      std::printf("%-18s %.1f%% of gemm %lldx%lldx%lld (%.2f GF/s, %d threads)\n",
+                  "", r.pct_gemm, static_cast<long long>(rhs.rows()),
+                  static_cast<long long>(rhs.cols()), static_cast<long long>(db),
+                  gemm_gf, threads);
+    }
   }
 
   // ---- per-ISA gemm rows + the dispatch regression gate ----

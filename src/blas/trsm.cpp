@@ -1,5 +1,5 @@
 // Blocked triangular solve: the triangle is processed in db x db diagonal
-// blocks. Each diagonal block is solved by a small branch-free substitution
+// blocks. Each diagonal block is solved by a register-tiled substitution
 // kernel (O(db^2 n) work), and the remaining right-hand-side panel is
 // updated with a rank-db gemm — so asymptotically all trsm flops run at
 // gemm speed. Only the stored triangle of T is ever referenced. Templated
@@ -7,6 +7,7 @@
 // structure is precision-agnostic, the panel gemms inherit the per-scalar
 // register tile.
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "blas/blas.hpp"
@@ -17,187 +18,235 @@ namespace conflux::xblas {
 
 namespace {
 
-// ---- small diagonal-block kernels (unblocked substitution) ---------------
-// The inner j/i loops are pure axpy/scale updates over the RHS with no
-// data-dependent branches, so they auto-vectorize.
+// ---- diagonal-block kernels (register-tiled substitution) ---------------
+//
+// Bitwise contract: every solved element runs its own chain
+//   acc = b;  acc -= x_q * coef(q)  for each already-solved q, in a fixed
+//   order;  acc *= 1 / t(d, d)  (NonUnit only)
+// where x_q are solved elements of the same RHS column (Left) or row
+// (Right). Different columns (Left) / rows (Right) never mix, so the
+// kernels vectorize ACROSS them — vector lanes and several accumulators
+// over independent elements — and only change who runs a chain, never its
+// operations or their order. The orders are those of the textbook
+// unblocked loops (tests/blas_test.cpp keeps them as the bitwise oracle):
+//   Left  forward  (LLN, LUT): row i subtracts rows 0..i-1, ascending;
+//   Left  backward (LUN, LLT): row i subtracts rows i+1..m-1, ascending —
+//         nearest first, so row i cannot start before row i+1 is final
+//         and rows are not register-blocked (columns still are);
+//   Right forward  (RUN, RLT): column j subtracts columns 0..j-1, ascending;
+//   Right backward (RLN, RUT): column j subtracts columns n-1..j+1,
+//         descending.
+// Every forward/backward chain runs far-to-near, so R rows of the solve
+// share one load of each already-solved row (Goto & van de Geijn's
+// register blocking, TOMS 2008), then finish their small R x R triangle
+// in registers. Fusion of `acc -= x * c` follows the build exactly as the
+// unblocked loops' `b -= c * x` did (same expression shape, same TU flags).
 
-// Left, lower, no transpose: forward substitution.
+// The solve runs on a "panel": d rows (the triangle's dimension), row k at
+// x + k * ld, each W vectors of L independent lanes wide. Left solves use
+// B itself as the panel (lanes = RHS columns); Right solves pack a tile of
+// B rows transposed into scratch (lanes = RHS rows).
+enum class Chain { kForward, kBackward, kBackwardNearFirst };
+
+#if defined(__AVX512F__)
+constexpr int kVecBytes = 64;
+#else
+constexpr int kVecBytes = 32;
+#endif
+
+// GCC vector extension: one register of L scalars; arithmetic with a scalar
+// operand broadcasts it. The lowering follows the build target.
+template <typename T, int L>
+struct Lanes {
+  typedef T type __attribute__((vector_size(L * sizeof(T))));
+};
+template <typename T, int L>
+using Vec = typename Lanes<T, L>::type;
+
 template <typename T>
-void trsm_lln(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
-  const index_t m = b.rows();
-  const index_t n = b.cols();
-  for (index_t i = 0; i < m; ++i) {
-    T* bi = b.row(i);
-    for (index_t p = 0; p < i; ++p) {
-      const T lip = t(i, p);
-      const T* bp = b.row(p);
-      for (index_t j = 0; j < n; ++j) bi[j] -= lip * bp[j];
+constexpr int kLanes = kVecBytes / static_cast<int>(sizeof(T));
+// Vectors per panel row, and solved rows per register block: R x W
+// accumulators plus W operand vectors fit the register file. Near-first
+// chains solve one row at a time, so they take a wider strip to keep more
+// independent accumulator chains in flight.
+constexpr int kW = 2;
+constexpr int kR = 4;
+constexpr int kWNearFirst = 4;
+
+template <typename T, int L>
+inline Vec<T, L> vload(const T* p) {
+  Vec<T, L> v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+template <typename T, int L>
+inline void vstore(T* p, const Vec<T, L>& v) {
+  std::memcpy(p, &v, sizeof(v));
+}
+
+// coef(k, q): the triangle entry row k's chain multiplies solved row q by —
+// t(k, q), or t(q, k) when the panel reads the triangle transposed.
+template <typename T, bool Transposed>
+struct Coef {
+  const T* t;
+  index_t ld;
+  T operator()(index_t k, index_t q) const {
+    return Transposed ? t[q * ld + k] : t[k * ld + q];
+  }
+};
+
+// Solve panel rows k0..k0+R-1, all rows outside the block that their chains
+// read being final already.
+template <typename T, int L, int W, int R, Chain C, typename CoefT>
+inline void solve_rows(index_t d, index_t k0, const CoefT& coef, const T* inv,
+                       T* x, index_t ld) {
+  static_assert(C != Chain::kBackwardNearFirst || R == 1);
+  using V = Vec<T, L>;
+  V acc[R][W];
+  for (int r = 0; r < R; ++r) {
+    for (int w = 0; w < W; ++w) acc[r][w] = vload<T, L>(x + (k0 + r) * ld + w * L);
+  }
+  const auto apply = [&](index_t q) {
+    V xq[W];
+    for (int w = 0; w < W; ++w) xq[w] = vload<T, L>(x + q * ld + w * L);
+    for (int r = 0; r < R; ++r) {
+      const T c = coef(k0 + r, q);
+      for (int w = 0; w < W; ++w) acc[r][w] -= xq[w] * c;
     }
-    if (diag == Diag::NonUnit) {
-      const T inv = T{1} / t(i, i);
-      for (index_t j = 0; j < n; ++j) bi[j] *= inv;
+  };
+  const auto finish = [&](int r) {
+    if (inv != nullptr) {
+      for (int w = 0; w < W; ++w) acc[r][w] *= inv[k0 + r];
     }
+  };
+  if constexpr (C == Chain::kForward) {
+    for (index_t q = 0; q < k0; ++q) apply(q);
+    for (int r = 0; r < R; ++r) {
+      for (int s = 0; s < r; ++s) {
+        const T c = coef(k0 + r, k0 + s);
+        for (int w = 0; w < W; ++w) acc[r][w] -= acc[s][w] * c;
+      }
+      finish(r);
+    }
+  } else if constexpr (C == Chain::kBackward) {
+    for (index_t q = d - 1; q >= k0 + R; --q) apply(q);
+    for (int r = R - 1; r >= 0; --r) {
+      for (int s = R - 1; s > r; --s) {
+        const T c = coef(k0 + r, k0 + s);
+        for (int w = 0; w < W; ++w) acc[r][w] -= acc[s][w] * c;
+      }
+      finish(r);
+    }
+  } else {
+    for (index_t q = k0 + 1; q < d; ++q) apply(q);
+    finish(0);
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int w = 0; w < W; ++w) vstore<T, L>(x + (k0 + r) * ld + w * L, acc[r][w]);
   }
 }
 
-// Left, upper, no transpose: back substitution.
-template <typename T>
-void trsm_lun(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
-  const index_t m = b.rows();
-  const index_t n = b.cols();
-  for (index_t i = m - 1; i >= 0; --i) {
-    T* bi = b.row(i);
-    for (index_t p = i + 1; p < m; ++p) {
-      const T uip = t(i, p);
-      const T* bp = b.row(p);
-      for (index_t j = 0; j < n; ++j) bi[j] -= uip * bp[j];
-    }
-    if (diag == Diag::NonUnit) {
-      const T inv = T{1} / t(i, i);
-      for (index_t j = 0; j < n; ++j) bi[j] *= inv;
-    }
+template <typename T, int W, Chain C, typename CoefT>
+void solve_panel(index_t d, const CoefT& coef, const T* inv, T* x, index_t ld) {
+  constexpr int L = kLanes<T>;
+  constexpr int R = (C == Chain::kBackwardNearFirst) ? 1 : kR;
+  if constexpr (C == Chain::kForward) {
+    index_t k0 = 0;
+    for (; k0 + R <= d; k0 += R) solve_rows<T, L, W, R, C>(d, k0, coef, inv, x, ld);
+    for (; k0 < d; ++k0) solve_rows<T, L, W, 1, C>(d, k0, coef, inv, x, ld);
+  } else {
+    index_t k1 = d;
+    for (; k1 >= R; k1 -= R) solve_rows<T, L, W, R, C>(d, k1 - R, coef, inv, x, ld);
+    for (; k1 > 0; --k1) solve_rows<T, L, W, 1, C>(d, k1 - 1, coef, inv, x, ld);
   }
 }
 
-// Left, lower, transpose: L^T is upper triangular with entries t(p, i).
+// Per-scalar thread-local scratch (inverse diagonal, packed tiles),
+// persisting across calls so per-step panel solves are allocation-free in
+// steady state (the pool's workers and the master each get their own
+// buffer). Concrete thread_locals behind a traits accessor for the same
+// LeakSanitizer reason as gemm's pack buffers (see gemm.cpp).
+thread_local std::vector<double> tls_scratch_d;
+thread_local std::vector<float> tls_scratch_f;
 template <typename T>
-void trsm_llt(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
-  const index_t m = b.rows();
-  const index_t n = b.cols();
-  for (index_t i = m - 1; i >= 0; --i) {
-    T* bi = b.row(i);
-    for (index_t p = i + 1; p < m; ++p) {
-      const T lpi = t(p, i);
-      const T* bp = b.row(p);
-      for (index_t j = 0; j < n; ++j) bi[j] -= lpi * bp[j];
-    }
-    if (diag == Diag::NonUnit) {
-      const T inv = T{1} / t(i, i);
-      for (index_t j = 0; j < n; ++j) bi[j] *= inv;
-    }
-  }
-}
-
-// Left, upper, transpose: U^T is lower triangular with entries t(p, i).
-template <typename T>
-void trsm_lut(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
-  const index_t m = b.rows();
-  const index_t n = b.cols();
-  for (index_t i = 0; i < m; ++i) {
-    T* bi = b.row(i);
-    for (index_t p = 0; p < i; ++p) {
-      const T upi = t(p, i);
-      const T* bp = b.row(p);
-      for (index_t j = 0; j < n; ++j) bi[j] -= upi * bp[j];
-    }
-    if (diag == Diag::NonUnit) {
-      const T inv = T{1} / t(i, i);
-      for (index_t j = 0; j < n; ++j) bi[j] *= inv;
-    }
-  }
-}
-
-// Right-side solves are independent per row of B, so all four kernels walk
-// B row by row: every access to the B row is contiguous, which keeps a tall
-// panel (e.g. potrf's n x nb L21 solve) streaming instead of striding
-// column-wise through it. The transpose variants still read the triangle
-// column-wise, but T is at most db x db and stays cache-resident across
-// rows. Diagonal inverses are hoisted so each row does multiplies only.
-// Per-scalar thread-local inverse-diagonal scratch, persisting across calls
-// so per-step panel solves are allocation-free in steady state (the pool's
-// workers and the master each get their own buffer). Concrete thread_locals
-// behind a traits accessor for the same LeakSanitizer reason as gemm's pack
-// buffers (see gemm.cpp).
-thread_local std::vector<double> tls_inv_d;
-thread_local std::vector<float> tls_inv_f;
-template <typename T>
-std::vector<T>& tls_inv();
+std::vector<T>& tls_scratch();
 template <>
-std::vector<double>& tls_inv<double>() {
-  return tls_inv_d;
+std::vector<double>& tls_scratch<double>() {
+  return tls_scratch_d;
 }
 template <>
-std::vector<float>& tls_inv<float>() {
-  return tls_inv_f;
+std::vector<float>& tls_scratch<float>() {
+  return tls_scratch_f;
 }
 
-template <typename T>
-void fill_inv_diag(ConstMatrixView<T> t, std::vector<T>& inv) {
-  inv.resize(static_cast<std::size_t>(t.rows()));
-  for (index_t j = 0; j < t.rows(); ++j)
-    inv[static_cast<std::size_t>(j)] = T{1} / t(j, j);
-}
-
-// Right, lower, no transpose: X * L = B, per row right-to-left.
-template <typename T>
-void trsm_rln(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
-  const index_t m = b.rows();
-  const index_t n = b.cols();
-  std::vector<T>& inv = tls_inv<T>();
-  if (diag == Diag::NonUnit) fill_inv_diag(t, inv);
-  for (index_t i = 0; i < m; ++i) {
-    T* bi = b.row(i);
-    for (index_t j = n - 1; j >= 0; --j) {
-      const T xj = (diag == Diag::NonUnit)
-                       ? (bi[j] *= inv[static_cast<std::size_t>(j)])
-                       : bi[j];
-      const T* trow = t.row(j);
-      for (index_t p = 0; p < j; ++p) bi[p] -= xj * trow[p];
-    }
+// Solve a panel nvec <= W vectors wide (the padded Left tail).
+template <typename T, int W, Chain C, typename CoefT>
+void solve_narrow(index_t nvec, index_t d, const CoefT& coef, const T* inv,
+                  T* x, index_t ld) {
+  if (nvec == W) {
+    solve_panel<T, W, C>(d, coef, inv, x, ld);
+  } else if constexpr (W > 1) {
+    solve_narrow<T, W - 1, C>(nvec, d, coef, inv, x, ld);
   }
 }
 
-// Right, upper, no transpose: X * U = B, per row left-to-right.
-template <typename T>
-void trsm_run(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
+// Left: the panel is B (lanes = columns). Full strips solve in place; the
+// ragged column tail is copied into a zero-padded scratch panel of whole
+// vectors, solved there in one pass, and copied back (padding lanes compute
+// throwaway values).
+template <typename T, Chain C, bool Transposed>
+void left_solve(ConstMatrixView<T> t, const T* inv, MatrixView<T> b, T* pad) {
+  constexpr index_t L = kLanes<T>;
+  constexpr int W = (C == Chain::kBackwardNearFirst) ? kWNearFirst : kW;
+  constexpr index_t strip = W * L;
+  const Coef<T, Transposed> coef{t.data(), t.ld()};
   const index_t m = b.rows();
   const index_t n = b.cols();
-  std::vector<T>& inv = tls_inv<T>();
-  if (diag == Diag::NonUnit) fill_inv_diag(t, inv);
+  index_t c0 = 0;
+  for (; c0 + strip <= n; c0 += strip) {
+    solve_panel<T, W, C>(m, coef, inv, b.data() + c0, b.ld());
+  }
+  const index_t tail = n - c0;
+  if (tail == 0) return;
+  const index_t width = (tail + L - 1) / L * L;
   for (index_t i = 0; i < m; ++i) {
-    T* bi = b.row(i);
+    T* dst = pad + i * width;
+    std::copy_n(b.row(i) + c0, tail, dst);
+    std::fill(dst + tail, dst + width, T{0});
+  }
+  solve_narrow<T, W, C>(width / L, m, coef, inv, pad, width);
+  for (index_t i = 0; i < m; ++i) std::copy_n(pad + i * width, tail, b.row(i) + c0);
+}
+
+// Right: rows of B are independent, so tiles of kW * L rows are packed
+// transposed (column j of the tile becomes panel row j), solved, and
+// unpacked; the last tile is zero-padded.
+template <typename T, Chain C, bool Transposed>
+void right_solve(ConstMatrixView<T> t, const T* inv, MatrixView<T> b, T* pack) {
+  constexpr index_t lanes = kW * kLanes<T>;
+  const Coef<T, Transposed> coef{t.data(), t.ld()};
+  const index_t m = b.rows();
+  const index_t n = b.cols();
+  for (index_t i0 = 0; i0 < m; i0 += lanes) {
+    const index_t rows = std::min(lanes, m - i0);
+    for (index_t r = 0; r < rows; ++r) {
+      const T* src = b.row(i0 + r);
+      for (index_t j = 0; j < n; ++j) pack[j * lanes + r] = src[j];
+    }
     for (index_t j = 0; j < n; ++j) {
-      const T xj = (diag == Diag::NonUnit)
-                       ? (bi[j] *= inv[static_cast<std::size_t>(j)])
-                       : bi[j];
-      const T* trow = t.row(j);
-      for (index_t p = j + 1; p < n; ++p) bi[p] -= xj * trow[p];
+      std::fill(pack + j * lanes + rows, pack + (j + 1) * lanes, T{0});
     }
-  }
-}
-
-// Right, lower, transpose: X * L^T = B; L^T is upper, per row left-to-right.
-template <typename T>
-void trsm_rlt(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
-  const index_t m = b.rows();
-  const index_t n = b.cols();
-  std::vector<T>& inv = tls_inv<T>();
-  if (diag == Diag::NonUnit) fill_inv_diag(t, inv);
-  for (index_t i = 0; i < m; ++i) {
-    T* bi = b.row(i);
-    for (index_t j = 0; j < n; ++j) {
-      const T xj = (diag == Diag::NonUnit)
-                       ? (bi[j] *= inv[static_cast<std::size_t>(j)])
-                       : bi[j];
-      for (index_t p = j + 1; p < n; ++p) bi[p] -= xj * t(p, j);
+    // Start the next tile's rows on their way while this one computes:
+    // panels with a power-of-two leading dimension stream from memory.
+    for (index_t r = i0 + lanes; r < std::min(m, i0 + 2 * lanes); ++r) {
+      for (index_t j = 0; j < n; j += 64 / static_cast<index_t>(sizeof(T))) {
+        __builtin_prefetch(b.row(r) + j, 1);
+      }
     }
-  }
-}
-
-// Right, upper, transpose: X * U^T = B; U^T is lower, per row right-to-left.
-template <typename T>
-void trsm_rut(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
-  const index_t m = b.rows();
-  const index_t n = b.cols();
-  std::vector<T>& inv = tls_inv<T>();
-  if (diag == Diag::NonUnit) fill_inv_diag(t, inv);
-  for (index_t i = 0; i < m; ++i) {
-    T* bi = b.row(i);
-    for (index_t j = n - 1; j >= 0; --j) {
-      const T xj = (diag == Diag::NonUnit)
-                       ? (bi[j] *= inv[static_cast<std::size_t>(j)])
-                       : bi[j];
-      for (index_t p = 0; p < j; ++p) bi[p] -= xj * t(p, j);
+    solve_panel<T, kW, C>(n, coef, inv, pack, lanes);
+    for (index_t r = 0; r < rows; ++r) {
+      T* dst = b.row(i0 + r);
+      for (index_t j = 0; j < n; ++j) dst[j] = pack[j * lanes + r];
     }
   }
 }
@@ -205,17 +254,39 @@ void trsm_rut(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
 template <typename T>
 void small_solve(Side side, UpLo uplo, Trans trans, Diag diag,
                  ConstMatrixView<T> t, MatrixView<T> b) {
+  const index_t dim = t.rows();
+  const bool tr = trans == Trans::Transpose;
+  // Scratch: dim inverse diagonals, then one padded panel — a Left tail
+  // (dim rows x <= kWNearFirst vectors) or a Right tile (dim x kW vectors).
+  std::vector<T>& scratch = tls_scratch<T>();
+  scratch.resize(static_cast<std::size_t>(
+      dim * (1 + std::max(kW, kWNearFirst) * kLanes<T>)));
+  const T* inv = nullptr;
+  if (diag == Diag::NonUnit) {
+    for (index_t j = 0; j < dim; ++j) {
+      scratch[static_cast<std::size_t>(j)] = T{1} / t(j, j);
+    }
+    inv = scratch.data();
+  }
+  T* panel = scratch.data() + dim;
   if (side == Side::Left) {
-    if (uplo == UpLo::Lower) {
-      (trans == Trans::None) ? trsm_lln(diag, t, b) : trsm_llt(diag, t, b);
+    // Left coefficient t(k, q) untransposed; forward for LLN/LUT.
+    if ((uplo == UpLo::Lower) != tr) {
+      tr ? left_solve<T, Chain::kForward, true>(t, inv, b, panel)
+         : left_solve<T, Chain::kForward, false>(t, inv, b, panel);
     } else {
-      (trans == Trans::None) ? trsm_lun(diag, t, b) : trsm_lut(diag, t, b);
+      tr ? left_solve<T, Chain::kBackwardNearFirst, true>(t, inv, b, panel)
+         : left_solve<T, Chain::kBackwardNearFirst, false>(t, inv, b, panel);
     }
   } else {
-    if (uplo == UpLo::Lower) {
-      (trans == Trans::None) ? trsm_rln(diag, t, b) : trsm_rlt(diag, t, b);
+    // X * op(T) = B: column k of X reads op(T)(q, k), i.e. t(q, k)
+    // untransposed; forward for RUN/RLT.
+    if ((uplo == UpLo::Upper) != tr) {
+      tr ? right_solve<T, Chain::kForward, false>(t, inv, b, panel)
+         : right_solve<T, Chain::kForward, true>(t, inv, b, panel);
     } else {
-      (trans == Trans::None) ? trsm_run(diag, t, b) : trsm_rut(diag, t, b);
+      tr ? right_solve<T, Chain::kBackward, false>(t, inv, b, panel)
+         : right_solve<T, Chain::kBackward, true>(t, inv, b, panel);
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <exception>
 #include <limits>
 
@@ -182,10 +183,18 @@ void save_chol_snapshot(CholRun<T>& run, index_t t) {
   // Only the lower triangle (diagonal included): init_state never fills the
   // strict upper triangle and no phase of the factorization reads or writes
   // it, so restoring the lower rows onto a freshly initialized `fac` is
-  // bitwise complete — at half the serialization volume.
-  for (index_t r = 0; r < run.npad; ++r) {
-    w.put_bytes(&run.fac(r, 0), static_cast<std::size_t>(r + 1) * sizeof(T));
-  }
+  // bitwise complete — at half the serialization volume. The region is
+  // sized once and row r lands at word r(r+1)/2, so row blocks copy in
+  // parallel.
+  const auto npad = static_cast<std::size_t>(run.npad);
+  std::uint8_t* tri = w.put_space(npad * (npad + 1) / 2 * sizeof(T));
+  sched::for_row_blocks(run.npad, [&](index_t, index_t r0, index_t r1) {
+    for (index_t r = r0; r < r1; ++r) {
+      const auto words = static_cast<std::size_t>(r + 1);
+      std::memcpy(tri + words * (words - 1) / 2 * sizeof(T), &run.fac(r, 0),
+                  words * sizeof(T));
+    }
+  });
   recover::store_blob(chol_snapshot_key(run), std::move(w).seal());
 }
 

@@ -5,8 +5,10 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <exception>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "blas/lapack.hpp"
@@ -92,6 +94,17 @@ template <typename T>
 struct CandSet {
   std::vector<index_t> rows;
   Matrix<T> values;  // v x v buffer; rows.size() x v live
+};
+
+/// Column-block width of the A01 step (steps 7/9): whole vector strips of
+/// the trsm kernels, so no block carries a ragged tail. Columns of a
+/// Left-side solve are independent, so the split never moves a bit.
+constexpr index_t kA01BlockCols = 128;
+
+/// One A01 column block's scan of its solved U columns.
+struct A01Scan {
+  bool nonfinite = false;
+  double umax = 0.0;
 };
 
 /// Per-run tournament scratch (DESIGN.md: the per-x candidate gathers used
@@ -236,6 +249,7 @@ struct LuRun {
   std::vector<std::pair<index_t, index_t>> retire_pairs;  // (dst, src) swaps
   std::vector<index_t> pivots_per_x;
   PivotScratch<T> scr;
+  std::vector<A01Scan> a01_scan;  // one slot per A01 column block
 
   // Lookahead task handles (empty when la == false).
   std::vector<sched::TaskId> a10_ids, urgent_ids, lazy_ids;
@@ -396,23 +410,41 @@ void save_lu_snapshot(LuRun<T>& run, index_t t,
   w.put_indices(perm_pad);
   w.put_indices(run.rowmap);
   w.put_indices(run.rowpos);
+  // Both matrix regions are sized once and copied in parallel row blocks.
   // Trailing accumulator: only the live region (packed rows 0..nact, columns
   // t*v..npad) is ever read again.
   const index_t col0 = t * run.v;
   const auto live_bytes = static_cast<std::size_t>(run.npad - col0) * sizeof(T);
-  for (index_t i = 0; i < run.nact; ++i) {
-    w.put_bytes(&run.trail(i, col0), live_bytes);
-  }
+  std::uint8_t* live = w.put_space(static_cast<std::size_t>(run.nact) * live_bytes);
+  sched::for_row_blocks(run.nact, [&](index_t, index_t i0, index_t i1) {
+    for (index_t i = i0; i < i1; ++i) {
+      std::memcpy(live + static_cast<std::size_t>(i) * live_bytes,
+                  &run.trail(i, col0), live_bytes);
+    }
+  });
   // Factor store: an eliminated row (rowpos < 0) carries its full final row
   // (L left of its pivot block, U from it rightwards); a surviving row has
-  // only its first t*v columns written (the L panels of past steps).
+  // only its first t*v columns written (the L panels of past steps). Rows
+  // differ in length, so each row block's start comes from a prefix sum.
+  const auto stored_cols = [&](index_t r) {
+    return static_cast<std::size_t>(
+        run.rowpos[static_cast<std::size_t>(r)] < 0 ? run.npad : col0);
+  };
+  std::vector<std::size_t> block_start(
+      static_cast<std::size_t>(sched::num_row_blocks(run.npad)) + 1, 0);
   for (index_t r = 0; r < run.npad; ++r) {
-    const bool eliminated = run.rowpos[static_cast<std::size_t>(r)] < 0;
-    const index_t cols = eliminated ? run.npad : col0;
-    if (cols > 0) {
-      w.put_bytes(&run.lstore(r, 0), static_cast<std::size_t>(cols) * sizeof(T));
-    }
+    block_start[static_cast<std::size_t>(r / sched::kRowBlock) + 1] += stored_cols(r);
   }
+  std::partial_sum(block_start.begin(), block_start.end(), block_start.begin());
+  std::uint8_t* stored = w.put_space(block_start.back() * sizeof(T));
+  sched::for_row_blocks(run.npad, [&](index_t blk, index_t r0, index_t r1) {
+    std::size_t word = block_start[static_cast<std::size_t>(blk)];
+    for (index_t r = r0; r < r1; ++r) {
+      const std::size_t cols = stored_cols(r);
+      std::memcpy(stored + word * sizeof(T), &run.lstore(r, 0), cols * sizeof(T));
+      word += cols;
+    }
+  });
   recover::store_blob(lu_snapshot_key(run), std::move(w).seal());
 }
 
@@ -1232,6 +1264,8 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
     s.mperm.reserve(static_cast<std::size_t>(2 * v));
     s.fipiv.reserve(static_cast<std::size_t>(v));
     s.fperm.reserve(static_cast<std::size_t>(v));
+    run.a01_scan.resize(static_cast<std::size_t>(
+        ((num_tiles - 1) * v + kA01BlockCols - 1) / kA01BlockCols));
   }
   run.pivots_per_x.assign(static_cast<std::size_t>(g.px()), 0);
 
@@ -1371,23 +1405,25 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
       check(run.nact == a10_rows, "packed workspace out of sync with tracker");
     }
 
-    // Steps 7 and 9 (real work): the 1D panel trsms, decomposed the way the
-    // schedule distributes them — one chunk of A10 rows and one chunk of
-    // A01 columns per simulated rank (row/column chunks of a triangular
-    // solve are exact: Right-side solves are row-independent, Left-side
-    // column-independent). A10 is solved IN PLACE in the packed workspace:
-    // the solved values are both this step's L columns (copied to lstore)
-    // and the Schur update's left operand. With lookahead the A10 chunks go
-    // to the pool NOW — before the master blocks on the previous lazy
-    // remainder — because they only touch the urgent stripe.
+    // Steps 7 and 9 (real work): the 1D panel trsms. The host runs them in
+    // fixed blocks — A10 in sched::kRowBlock row blocks, A01 in
+    // kA01BlockCols column blocks — while the charges below keep the
+    // schedule's per-rank split. Both splits are exact (Right-side solves
+    // are row-independent, Left-side column-independent), and whole blocks
+    // keep the trsm kernels on full register tiles. A10 is solved IN PLACE
+    // in the packed workspace: the solved values are both this step's L
+    // columns (copied to lstore) and the Schur update's left operand. With
+    // lookahead the A10 blocks go to the pool NOW — before the master
+    // blocks on the previous lazy remainder — because they only touch the
+    // urgent stripe.
     const int p = m.ranks();
     MatrixView<T> a10 = run.real
                             ? run.trail.block(0, t * v, run.nact, v)
                             : MatrixView<T>();
-    const auto a10_chunk = [&run, a10, a10_rows, p, t, v](index_t r) {
-      const index_t lo = chunk_offset(a10_rows, p, static_cast<int>(r));
-      const index_t cnt = chunk_size(a10_rows, p, static_cast<int>(r));
-      if (cnt == 0) return;
+    const index_t a10_blocks = run.real ? sched::num_row_blocks(a10_rows) : 0;
+    const auto a10_block = [&run, a10, a10_rows, t, v](index_t blk) {
+      const index_t lo = blk * sched::kRowBlock;
+      const index_t cnt = std::min(sched::kRowBlock, a10_rows - lo);
       // A10 <- A10 * U00^{-1}: final L columns of the surviving rows.
       xblas::trsm<T>(Side::Right, UpLo::Upper, Trans::None, Diag::NonUnit,
                      T{1}, run.a00.view(), a10.block(lo, 0, cnt, v));
@@ -1395,19 +1431,19 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
         const index_t row = run.rowmap[static_cast<std::size_t>(i)];
         for (index_t j = 0; j < v; ++j) run.lstore(row, t * v + j) = a10(i, j);
       }
-      // trsm read+write of the chunk, the U00 operand, and the lstore copy.
+      // trsm read+write of the block, the U00 operand, and the lstore copy.
       g_dm_panel_solve.add(
           (4.0 * static_cast<double>(cnt) * static_cast<double>(v) +
            static_cast<double>(v) * static_cast<double>(v)) *
           static_cast<double>(sizeof(T)));
     };
     run.a10_ids.clear();
-    if (run.real && run.la && a10_rows > 0) {
-      for (int r = 0; r < p; ++r) {
+    if (run.la) {
+      for (index_t blk = 0; blk < a10_blocks; ++blk) {
         run.a10_ids.push_back(pool.submit(
-            [a10_chunk, r] { a10_chunk(static_cast<index_t>(r)); },
-            "panel-trsm-a10", sched::TaskCategory::Other,
-            static_cast<long long>(t), nullptr, 0, /*retryable=*/true));
+            [a10_block, blk] { a10_block(blk); }, "panel-trsm-a10",
+            sched::TaskCategory::Other, static_cast<long long>(t), nullptr, 0,
+            /*retryable=*/true));
       }
     }
 
@@ -1441,44 +1477,48 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
         if (cols_r > 0) m.charge_flops(r, cols_r * vv * vv);
       }
       if (run.real) {
-        if (!run.la && a10_rows > 0) {
-          sched::parallel_ranks(p, a10_chunk);
-        }
+        if (!run.la) sched::parallel_ranks(a10_blocks, a10_block);
         if (ncols > 0) {
-          // A01 <- L00^{-1} * A01: final U rows of the pivots.
-          sched::parallel_ranks(p, [&](index_t r) {
-            const index_t lo = chunk_offset(ncols, p, static_cast<int>(r));
-            const index_t cnt = chunk_size(ncols, p, static_cast<int>(r));
-            if (cnt == 0) return;
+          // A01 <- L00^{-1} * A01: final U rows of the pivots, in one pass
+          // over lane-aligned column blocks. Each block solves its columns,
+          // hands them to lstore, and scans them into its own slot: a
+          // non-finite value is a hard error, max|U| feeds the growth
+          // factor. The master reduces the slots.
+          const index_t nblk = (ncols + kA01BlockCols - 1) / kA01BlockCols;
+          sched::parallel_ranks(nblk, [&](index_t blk) {
+            const index_t c0 = blk * kA01BlockCols;
+            const index_t cnt = std::min(kA01BlockCols, ncols - c0);
             xblas::trsm<T>(Side::Left, UpLo::Lower, Trans::None, Diag::Unit,
-                           T{1}, run.a00.view(), pivotrows.block(0, lo, v, cnt));
-          });
-          sched::parallel_ranks(v, [&](index_t l) {
-            const index_t row = run.winners[static_cast<std::size_t>(l)];
-            for (index_t j = 0; j < ncols; ++j) {
-              run.lstore(row, (t + 1) * v + j) = pivotrows(l, j);
+                           T{1}, run.a00.view(), pivotrows.block(0, c0, v, cnt));
+            A01Scan scan;
+            for (index_t l = 0; l < v; ++l) {
+              const T* urow = pivotrows.row(l) + c0;
+              T* dst = &run.lstore(run.winners[static_cast<std::size_t>(l)],
+                                   (t + 1) * v + c0);
+              for (index_t j = 0; j < cnt; ++j) {
+                dst[j] = urow[j];
+                const double d = std::abs(static_cast<double>(urow[j]));
+                scan.nonfinite |= !std::isfinite(d);
+                scan.umax = std::max(scan.umax, d);
+              }
             }
+            run.a01_scan[static_cast<std::size_t>(blk)] = scan;
           });
           // A01 trsm read+write, the L00 operand, and the lstore copy.
           g_dm_panel_solve.add(
               (4.0 * static_cast<double>(v) * static_cast<double>(ncols) +
                static_cast<double>(v) * static_cast<double>(v)) *
               static_cast<double>(sizeof(T)));
-          // Read-only scan of the factored U rows: hard error on a
-          // non-finite value, running max|U| for the growth factor.
           double rowmax = 0.0;
-          for (index_t l = 0; l < v; ++l) {
-            const T* urow = pivotrows.row(l);
-            for (index_t j = 0; j < ncols; ++j) {
-              const double d = std::abs(static_cast<double>(urow[j]));
-              if (!std::isfinite(d)) {
-                throw status_error(Status(
-                    StatusCode::kNonFinite,
-                    "non-finite value in the factored pivot rows",
-                    static_cast<long long>(t)));
-              }
-              if (d > rowmax) rowmax = d;
+          for (index_t blk = 0; blk < nblk; ++blk) {
+            const A01Scan& scan = run.a01_scan[static_cast<std::size_t>(blk)];
+            if (scan.nonfinite) {
+              throw status_error(Status(
+                  StatusCode::kNonFinite,
+                  "non-finite value in the factored pivot rows",
+                  static_cast<long long>(t)));
             }
+            rowmax = std::max(rowmax, scan.umax);
           }
           if (rowmax > run.umax) run.umax = rowmax;
         }

@@ -207,6 +207,12 @@ void SnapshotWriter::put_bytes(const void* data, std::size_t bytes) {
   blob_.insert(blob_.end(), p, p + bytes);
 }
 
+std::uint8_t* SnapshotWriter::put_space(std::size_t bytes) {
+  const std::size_t offset = blob_.size();
+  blob_.resize(offset + bytes);
+  return blob_.data() + offset;
+}
+
 void SnapshotWriter::put_indices(const std::vector<index_t>& values) {
   put_i64(static_cast<std::int64_t>(values.size()));
   put_bytes(values.data(), values.size() * sizeof(index_t));

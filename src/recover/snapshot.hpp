@@ -26,7 +26,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/status.hpp"
@@ -34,7 +37,25 @@
 
 namespace conflux::recover {
 
-using Blob = std::vector<std::uint8_t>;
+/// Allocator whose value-less construct() default-initializes, so growing
+/// a Blob leaves the new bytes unwritten: SnapshotWriter::put_space pays no
+/// serial zero-fill before the caller's (parallel) copy.
+template <typename T>
+struct NoInitAllocator : std::allocator<T> {
+  NoInitAllocator() = default;
+  template <typename U>
+  NoInitAllocator(const NoInitAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+using Blob = std::vector<std::uint8_t, NoInitAllocator<std::uint8_t>>;
 
 enum class FactorKind : std::uint8_t {
   kLu = 1,
@@ -67,6 +88,10 @@ class SnapshotWriter {
   void put_i64(std::int64_t value);
   void put_f64(double value);
   void put_bytes(const void* data, std::size_t bytes);
+  /// Append `bytes` payload bytes and return where they start, for the
+  /// caller to fill in place — e.g. a large region copied by several
+  /// threads — before the next put_* or seal().
+  std::uint8_t* put_space(std::size_t bytes);
   /// Length-prefixed raw dump of an index vector.
   void put_indices(const std::vector<index_t>& values);
 

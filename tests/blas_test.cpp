@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "blas/blas.hpp"
 #include "blas/lapack.hpp"
@@ -347,6 +351,311 @@ TEST(Trsm, WrongTriangleSizeThrows) {
   EXPECT_THROW(trsm(Side::Left, UpLo::Lower, Trans::None, Diag::NonUnit, 1.0,
                     t.view(), b.view()),
                contract_error);
+}
+
+// ------------------------------------------------- trsm bitwise oracle ----
+// The unblocked substitution loops that solved every diagonal block before
+// the register-tiled kernels, kept here verbatim (same expression shapes,
+// so the same fusion in the same build) as the bitwise oracle: the tiled
+// kernels must reproduce each element's operation chain exactly.
+namespace trsm_oracle {
+
+template <typename T>
+void lln(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
+  const index_t m = b.rows();
+  const index_t n = b.cols();
+  for (index_t i = 0; i < m; ++i) {
+    T* bi = b.row(i);
+    for (index_t p = 0; p < i; ++p) {
+      const T lip = t(i, p);
+      const T* bp = b.row(p);
+      for (index_t j = 0; j < n; ++j) bi[j] -= lip * bp[j];
+    }
+    if (diag == Diag::NonUnit) {
+      const T inv = T{1} / t(i, i);
+      for (index_t j = 0; j < n; ++j) bi[j] *= inv;
+    }
+  }
+}
+
+template <typename T>
+void lun(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
+  const index_t m = b.rows();
+  const index_t n = b.cols();
+  for (index_t i = m - 1; i >= 0; --i) {
+    T* bi = b.row(i);
+    for (index_t p = i + 1; p < m; ++p) {
+      const T uip = t(i, p);
+      const T* bp = b.row(p);
+      for (index_t j = 0; j < n; ++j) bi[j] -= uip * bp[j];
+    }
+    if (diag == Diag::NonUnit) {
+      const T inv = T{1} / t(i, i);
+      for (index_t j = 0; j < n; ++j) bi[j] *= inv;
+    }
+  }
+}
+
+template <typename T>
+void llt(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
+  const index_t m = b.rows();
+  const index_t n = b.cols();
+  for (index_t i = m - 1; i >= 0; --i) {
+    T* bi = b.row(i);
+    for (index_t p = i + 1; p < m; ++p) {
+      const T lpi = t(p, i);
+      const T* bp = b.row(p);
+      for (index_t j = 0; j < n; ++j) bi[j] -= lpi * bp[j];
+    }
+    if (diag == Diag::NonUnit) {
+      const T inv = T{1} / t(i, i);
+      for (index_t j = 0; j < n; ++j) bi[j] *= inv;
+    }
+  }
+}
+
+template <typename T>
+void lut(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
+  const index_t m = b.rows();
+  const index_t n = b.cols();
+  for (index_t i = 0; i < m; ++i) {
+    T* bi = b.row(i);
+    for (index_t p = 0; p < i; ++p) {
+      const T upi = t(p, i);
+      const T* bp = b.row(p);
+      for (index_t j = 0; j < n; ++j) bi[j] -= upi * bp[j];
+    }
+    if (diag == Diag::NonUnit) {
+      const T inv = T{1} / t(i, i);
+      for (index_t j = 0; j < n; ++j) bi[j] *= inv;
+    }
+  }
+}
+
+template <typename T>
+std::vector<T> inv_diag(ConstMatrixView<T> t) {
+  std::vector<T> inv(static_cast<std::size_t>(t.rows()));
+  for (index_t j = 0; j < t.rows(); ++j) inv[static_cast<std::size_t>(j)] = T{1} / t(j, j);
+  return inv;
+}
+
+template <typename T>
+void rln(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
+  const index_t m = b.rows();
+  const index_t n = b.cols();
+  const std::vector<T> inv = inv_diag(t);
+  for (index_t i = 0; i < m; ++i) {
+    T* bi = b.row(i);
+    for (index_t j = n - 1; j >= 0; --j) {
+      const T xj = (diag == Diag::NonUnit)
+                       ? (bi[j] *= inv[static_cast<std::size_t>(j)])
+                       : bi[j];
+      const T* trow = t.row(j);
+      for (index_t p = 0; p < j; ++p) bi[p] -= xj * trow[p];
+    }
+  }
+}
+
+template <typename T>
+void run(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
+  const index_t m = b.rows();
+  const index_t n = b.cols();
+  const std::vector<T> inv = inv_diag(t);
+  for (index_t i = 0; i < m; ++i) {
+    T* bi = b.row(i);
+    for (index_t j = 0; j < n; ++j) {
+      const T xj = (diag == Diag::NonUnit)
+                       ? (bi[j] *= inv[static_cast<std::size_t>(j)])
+                       : bi[j];
+      const T* trow = t.row(j);
+      for (index_t p = j + 1; p < n; ++p) bi[p] -= xj * trow[p];
+    }
+  }
+}
+
+template <typename T>
+void rlt(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
+  const index_t m = b.rows();
+  const index_t n = b.cols();
+  const std::vector<T> inv = inv_diag(t);
+  for (index_t i = 0; i < m; ++i) {
+    T* bi = b.row(i);
+    for (index_t j = 0; j < n; ++j) {
+      const T xj = (diag == Diag::NonUnit)
+                       ? (bi[j] *= inv[static_cast<std::size_t>(j)])
+                       : bi[j];
+      for (index_t p = j + 1; p < n; ++p) bi[p] -= xj * t(p, j);
+    }
+  }
+}
+
+template <typename T>
+void rut(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
+  const index_t m = b.rows();
+  const index_t n = b.cols();
+  const std::vector<T> inv = inv_diag(t);
+  for (index_t i = 0; i < m; ++i) {
+    T* bi = b.row(i);
+    for (index_t j = n - 1; j >= 0; --j) {
+      const T xj = (diag == Diag::NonUnit)
+                       ? (bi[j] *= inv[static_cast<std::size_t>(j)])
+                       : bi[j];
+      for (index_t p = 0; p < j; ++p) bi[p] -= xj * t(p, j);
+    }
+  }
+}
+
+template <typename T>
+void small_solve(Side side, UpLo uplo, Trans trans, Diag diag,
+                 ConstMatrixView<T> t, MatrixView<T> b) {
+  const bool tr = trans == Trans::Transpose;
+  if (side == Side::Left) {
+    if (uplo == UpLo::Lower) {
+      tr ? llt(diag, t, b) : lln(diag, t, b);
+    } else {
+      tr ? lut(diag, t, b) : lun(diag, t, b);
+    }
+  } else {
+    if (uplo == UpLo::Lower) {
+      tr ? rlt(diag, t, b) : rln(diag, t, b);
+    } else {
+      tr ? rut(diag, t, b) : run(diag, t, b);
+    }
+  }
+}
+
+/// trsm's blocked driver (db x db diagonal blocks, gemm downdates) with the
+/// oracle loops on the diagonal: bitwise what trsm computed before.
+template <typename T>
+void trsm(Side side, UpLo uplo, Trans trans, Diag diag, ConstMatrixView<T> t,
+          MatrixView<T> b, index_t db) {
+  const bool left = side == Side::Left;
+  const index_t dim = t.rows();
+  const index_t nblocks = (dim + db - 1) / db;
+  const bool none = trans == Trans::None;
+  const bool forward = left ? (uplo == UpLo::Lower) == none
+                            : (uplo == UpLo::Upper) == none;
+  for (index_t s = 0; s < nblocks; ++s) {
+    const index_t k0 = (forward ? s : nblocks - 1 - s) * db;
+    const index_t kb = std::min(db, dim - k0);
+    const index_t k1 = k0 + kb;
+    const index_t lo = forward ? k1 : 0;          // still-unsolved range
+    const index_t cnt = forward ? dim - k1 : k0;
+    const ConstMatrixView<T> diag_t = t.block(k0, k0, kb, kb);
+    // `off`: the stored-triangle panel coupling block k to the unsolved
+    // range.
+    if (left) {
+      MatrixView<T> bk = b.block(k0, 0, kb, b.cols());
+      small_solve<T>(side, uplo, trans, diag, diag_t, bk);
+      if (cnt == 0) continue;
+      const ConstMatrixView<T> off =
+          none ? t.block(lo, k0, cnt, kb) : t.block(k0, lo, kb, cnt);
+      gemm<T>(trans, Trans::None, T{-1}, off, bk, T{1},
+              b.block(lo, 0, cnt, b.cols()));
+    } else {
+      MatrixView<T> bk = b.block(0, k0, b.rows(), kb);
+      small_solve<T>(side, uplo, trans, diag, diag_t, bk);
+      if (cnt == 0) continue;
+      const ConstMatrixView<T> off =
+          none ? t.block(k0, lo, kb, cnt) : t.block(lo, k0, cnt, kb);
+      gemm<T>(Trans::None, trans, T{-1}, bk, off, T{1},
+              b.block(0, lo, b.rows(), cnt));
+    }
+  }
+}
+
+}  // namespace trsm_oracle
+
+template <typename T>
+Matrix<T> cast_matrix(const MatrixD& a) {
+  Matrix<T> out(a.rows(), a.cols());
+  for (index_t i = 0; i < a.rows(); ++i) {
+    for (index_t j = 0; j < a.cols(); ++j) out(i, j) = static_cast<T>(a(i, j));
+  }
+  return out;
+}
+
+/// Solve one case with trsm and with the oracle on identical strided views
+/// (ld > cols for both T and B; T's unreferenced triangle is NaN) and
+/// describe the first element whose bits differ — padding columns outside
+/// the B view included. Empty when every bit matches.
+template <typename T>
+std::string trsm_oracle_mismatch(Side side, UpLo uplo, Trans trans, Diag diag,
+                                 index_t dim, index_t nrhs, std::uint64_t seed) {
+  const bool left = side == Side::Left;
+  const index_t m = left ? dim : nrhs;
+  const index_t n = left ? nrhs : dim;
+  Matrix<T> tbuf = cast_matrix<T>(random_matrix(dim, dim + 5, seed));
+  const MatrixView<T> t = tbuf.view().block(0, 2, dim, dim);
+  for (index_t i = 0; i < dim; ++i) {
+    for (index_t j = 0; j < dim; ++j) {
+      const bool in_tri = (uplo == UpLo::Lower) ? (j <= i) : (j >= i);
+      if (!in_tri) t(i, j) = std::numeric_limits<T>::quiet_NaN();
+    }
+    t(i, i) = T{2} + std::abs(t(i, i));
+  }
+  const Matrix<T> b0 = cast_matrix<T>(random_matrix(m, n + 7, seed + 1));
+  Matrix<T> got = b0;
+  Matrix<T> want = b0;
+  trsm<T>(side, uplo, trans, diag, T{1}, t, got.view().block(0, 3, m, n));
+  trsm_oracle::trsm<T>(side, uplo, trans, diag, t, want.view().block(0, 3, m, n),
+                       std::max<index_t>(1, tuning().db));
+  for (index_t i = 0; i < m; ++i) {
+    for (index_t j = 0; j < n + 7; ++j) {
+      if (std::memcmp(&got(i, j), &want(i, j), sizeof(T)) != 0) {
+        char what[96];
+        std::snprintf(what, sizeof(what), "element (%lld, %lld): %a vs oracle %a",
+                      static_cast<long long>(i), static_cast<long long>(j),
+                      static_cast<double>(got(i, j)),
+                      static_cast<double>(want(i, j)));
+        return what;
+      }
+    }
+  }
+  return "";
+}
+
+/// Every side/uplo/trans/diag variant at every (dim, nrhs) pair.
+template <typename T>
+void expect_trsm_matches_oracle(std::initializer_list<index_t> dims,
+                                std::initializer_list<index_t> nrhs_list) {
+  std::uint64_t seed = 900;
+  for (const Side side : {Side::Left, Side::Right}) {
+    for (const UpLo uplo : {UpLo::Lower, UpLo::Upper}) {
+      for (const Trans trans : {Trans::None, Trans::Transpose}) {
+        for (const Diag diag : {Diag::NonUnit, Diag::Unit}) {
+          for (const index_t dim : dims) {
+            for (const index_t nrhs : nrhs_list) {
+              const std::string bad = trsm_oracle_mismatch<T>(
+                  side, uplo, trans, diag, dim, nrhs, seed += 2);
+              EXPECT_EQ(bad, "")
+                  << (side == Side::Left ? "L" : "R")
+                  << (uplo == UpLo::Lower ? "L" : "U")
+                  << (trans == Trans::None ? "N" : "T")
+                  << (diag == Diag::Unit ? " unit" : " nonunit")
+                  << " dim=" << dim << " nrhs=" << nrhs;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+constexpr std::initializer_list<index_t> kOracleRhs = {1, 4, 7, 8, 9, 16, 17, 31, 33, 130};
+
+TEST(TrsmOracle, DiagonalBlockKernelsBitwiseMatchUnblockedLoopsFp64) {
+  expect_trsm_matches_oracle<double>({1, 7, 8, 9, 63, 64}, kOracleRhs);
+}
+
+TEST(TrsmOracle, DiagonalBlockKernelsBitwiseMatchUnblockedLoopsFp32) {
+  expect_trsm_matches_oracle<float>({1, 7, 8, 9, 63, 64}, kOracleRhs);
+}
+
+// dim > db: the diagonal blocks run the kernels, the downdates gemm.
+TEST(TrsmOracle, BlockedPathBitwiseMatchesOracleBothPrecisions) {
+  expect_trsm_matches_oracle<double>({65, 130, 197}, {1, 4, 9, 33, 130});
+  expect_trsm_matches_oracle<float>({65, 130, 197}, {1, 4, 9, 33, 130});
 }
 
 // -------------------------------------------------------- syrk / gemmt ----

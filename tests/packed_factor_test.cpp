@@ -602,6 +602,9 @@ TEST(PackedWorkspace, SteadyStateAllocationCountIsStepIndependent) {
   // and lookahead off: task submission boxes closures on the heap by
   // design, and worker TLS warm-up is thread-assignment dependent (the
   // CONFLUX_LOOKAHEAD CI legs cover the pipelined path's correctness).
+  // Recovery pinned off: checkpoint saves scale with the step count, so a
+  // CONFLUX_CKPT_EVERY in the environment must not reach this run.
+  recover::ScopedOptions so(recover::Options{});
   const index_t v = 16;
   const grid::Grid3D g(2, 2, 2);
 #ifdef _OPENMP
