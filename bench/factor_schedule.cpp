@@ -19,7 +19,7 @@
 //   factor_schedule [--out=BENCH_factor.json] [--large] [--serial-baseline]
 //                   [--trace=conflux_lu_trace.json] [--reps=1]
 //   --large            adds the n=2048, P=64 acceptance cell
-//   --serial-baseline  re-times Real mode with 1 OpenMP thread and reports
+//   --serial-baseline  re-times Real mode at pool width 1 and reports
 //                      the rank-parallel speedup per cell
 //   --trace=FILE       writes a Chrome trace (about:tracing) of the last
 //                      LU cell's bounded-overlap timeline
@@ -52,10 +52,6 @@
 #include "support/profile.hpp"
 #include "support/stopwatch.hpp"
 #include "tensor/random_matrix.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 using namespace conflux;
 
@@ -152,14 +148,6 @@ xsim::MachineSpec spec_for(const Cell& c) {
   return spec;
 }
 
-int max_threads() {
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
-
 double best_wall(int reps, const auto& run) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
@@ -194,7 +182,7 @@ Row run_cell(const std::string& algo, const Cell& c, int reps, bool serial_basel
   const bool lu = algo == "conflux_lu";
 
   Row row{algo, c};
-  row.threads = max_threads();
+  row.threads = sched::TaskPool::instance().width();
 
   // Real mode: actual numerics, wall-clocked. The last rep's factors are
   // kept — the direct-solve baseline below reuses them (the factorization
@@ -216,16 +204,10 @@ Row run_cell(const std::string& algo, const Cell& c, int reps, bool serial_basel
   const double nd = static_cast<double>(c.n);
   const double factor_flops = lu ? 2.0 * nd * nd * nd / 3.0 : nd * nd * nd / 3.0;
   row.real_gflops = factor_flops / row.real_wall_s / 1e9;
-#ifdef _OPENMP
   if (serial_baseline) {
-    const int saved = omp_get_max_threads();
-    omp_set_num_threads(1);
+    const sched::TaskPool::ScopedWidth width(1);
     row.serial_wall_s = best_wall(reps, real_run);
-    omp_set_num_threads(saved);
   }
-#else
-  (void)serial_baseline;
-#endif
 
   // Lookahead leg: same schedule, urgent/lazy tasks pipelined on the
   // persistent pool (bitwise-identical factors — packed_factor_test).

@@ -31,13 +31,10 @@
 #include "blas/lapack.hpp"
 #include "blas/microkernel.hpp"
 #include "blas/tuning.hpp"
+#include "sched/taskpool.hpp"
 #include "support/buildinfo.hpp"
-#include "support/json.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 #include "support/cli.hpp"
+#include "support/json.hpp"
 #include "support/stopwatch.hpp"
 #include "tensor/random_matrix.hpp"
 
@@ -149,20 +146,10 @@ int main(int argc, char** argv) {
   const conflux::Cli cli(argc, argv);
   const std::string out_path = cli.get_string("out", "BENCH_blas.json");
   // Default to 1 thread so kernel-quality numbers are comparable across
-  // machines, but let XBLAS_THREADS (already folded into tuning()) win when
-  // the flag is not given explicitly. 0 means "library default", which is
-  // resolved to the real OpenMP thread count below so the JSON rows stay
+  // machines. 0 means the pool width, resolved here so the JSON rows stay
   // honest.
-  const int env_threads =
-      std::getenv("XBLAS_THREADS") ? xblas::tuning().threads : 1;
-  int threads = static_cast<int>(cli.get_int("threads", env_threads));
-  if (threads == 0) {
-#ifdef _OPENMP
-    threads = omp_get_max_threads();
-#else
-    threads = 1;
-#endif
-  }
+  int threads = static_cast<int>(cli.get_int("threads", 1));
+  if (threads <= 0) threads = conflux::sched::TaskPool::instance().width();
   const double min_time = cli.get_double("min-time", 0.3);
   const bool large = cli.get_flag("large");
   cli.check_unused();
@@ -171,7 +158,7 @@ int main(int argc, char** argv) {
               xblas::isa_name(xblas::active_isa()), xblas::tuning_source(),
               conflux::git_describe());
 
-  xblas::tuning().threads = threads;
+  const conflux::sched::TaskPool::ScopedWidth width(threads);
   g_threads = threads;
 
   std::vector<index_t> shapes = {256, 512, 1024};

@@ -1,5 +1,5 @@
 // From-scratch level-3 BLAS substrate used everywhere MKL was used in the
-// paper. gemm is a BLIS-style packed, register-tiled, OpenMP-parallel
+// paper. gemm is a BLIS-style packed, register-tiled, task-pool-parallel
 // implementation; trsm/syrk/gemmt are blocked algorithms that confine
 // O(db^3) work to small diagonal blocks and push all panel updates through
 // gemm. Cache/block sizes are runtime-tunable via xblas::tuning()

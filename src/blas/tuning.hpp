@@ -13,7 +13,9 @@
 //   XBLAS_MC, XBLAS_KC, XBLAS_NC   gemm cache block sizes
 //   XBLAS_DB                       trsm/syrk/gemmt diagonal block size
 //   XBLAS_LU_NB                    getrf/potrf panel width
-//   XBLAS_THREADS                  OpenMP thread count (0 = library default)
+//
+// Thread width is not a BLAS knob: gemm runs its parallel loops on the task
+// pool (src/sched/taskpool.hpp), whose width is the program's one width.
 //
 // Initialization (Tuning::detect(), run once at first BLAS use): the
 // compiled-in defaults below, then XBLAS_* environment overrides.
@@ -71,8 +73,7 @@ struct Tuning {
   index_t db = 64;
   /// Panel width for the blocked getrf / potrf in src/blas/lapack.cpp.
   index_t lu_nb = 32;
-  /// OpenMP thread count for gemm-family routines; 0 means "whatever
-  /// omp_get_max_threads() says". Ignored in non-OpenMP builds.
+  /// Per-call cap on the gemm team; 0 means the pool width.
   int threads = 0;
   /// Problems with 2*m*n*k at or below this skip packing entirely and use a
   /// direct strided kernel (packing overhead dominates for tiny blocks).
@@ -100,12 +101,11 @@ Tuning& tuning();
 /// Recorded in every BENCH_*.json row so perf numbers stay attributable.
 const char* tuning_source();
 
-/// Per-thread cap on the gemm-family OpenMP team width (0 = no cap). The
-/// task pool (src/sched/taskpool.hpp) sets this to 1 around every task and
-/// parallel_for chunk it executes — on its workers AND on the helping
-/// master thread — so BLAS calls inside pool work never fork nested teams,
-/// regardless of the caller's OpenMP ICV or an XBLAS_THREADS override: the
-/// pool itself is the parallelism there. Direct BLAS calls from ordinary
+/// Per-thread cap on the gemm team (0 = no cap). The task pool
+/// (src/sched/taskpool.hpp) sets this to 1 around every task and
+/// parallel_for index it executes — on its workers AND on the helping
+/// master thread — so BLAS calls inside pool work run serially: the pool
+/// itself is the parallelism there. Direct BLAS calls from ordinary
 /// threads are unaffected.
 int tls_thread_cap();
 void set_tls_thread_cap(int cap);

@@ -1,5 +1,8 @@
 #include "sched/taskpool.hpp"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -8,10 +11,6 @@
 #include "support/fault.hpp"
 #include "support/metrics.hpp"
 #include "support/status.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace conflux::sched {
 
@@ -39,14 +38,40 @@ const metrics::Histogram g_latency_other("pool.latency_other_s", kLatencyBounds)
 const metrics::Counter g_task_retries("recover.task_retries");
 const metrics::Counter g_task_retry_exhausted("recover.task_retry_exhausted");
 
-int env_pool_threads() {
+/// The width when no ScopedWidth is alive: CONFLUX_POOL_THREADS, else the
+/// CPU count of the process affinity mask (read once, at first use).
+int default_width() {
   static const int value = [] {
     const char* s = std::getenv("CONFLUX_POOL_THREADS");
-    if (s == nullptr || *s == '\0') return 0;
-    const long v = std::strtol(s, nullptr, 10);
-    return v > 0 ? static_cast<int>(v) : 0;
+    if (s != nullptr && *s != '\0') {
+      const long v = std::strtol(s, nullptr, 10);
+      if (v > 0) return static_cast<int>(v);
+    }
+#ifdef __linux__
+    cpu_set_t mask;
+    if (sched_getaffinity(0, sizeof(mask), &mask) == 0)
+      return std::max(1, CPU_COUNT(&mask));
+#endif
+    return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   }();
   return value;
+}
+
+/// The live ScopedWidth value; 0 = none.
+std::atomic<int> g_width_override{0};
+
+/// How long an idle worker, or a master joining a parallel_for, polls
+/// done() (yielding the core between polls) before it sleeps on a condition
+/// variable: gemm issues its parallel loops back to back, and a sleeping
+/// worker takes a futex wake-up (tens of us) to rejoin each one.
+constexpr auto kSpin = std::chrono::microseconds(50);
+
+template <typename Done>
+void spin_until(const Done& done) {
+  const auto until = std::chrono::steady_clock::now() + kSpin;
+  while (!done() && std::chrono::steady_clock::now() < until) {
+    std::this_thread::yield();
+  }
 }
 
 double env_watchdog_seconds() {
@@ -129,14 +154,16 @@ TaskPool::~TaskPool() {
 }
 
 int TaskPool::width() const {
-  const int env = env_pool_threads();
-  if (env > 0) return env;
-#ifdef _OPENMP
-  const int w = omp_get_max_threads();
-  return w > 0 ? w : 1;
-#else
-  return 1;
-#endif
+  const int w = g_width_override.load(std::memory_order_relaxed);
+  return w > 0 ? w : default_width();
+}
+
+TaskPool::ScopedWidth::ScopedWidth(int threads)
+    : saved_(g_width_override.exchange(threads > 0 ? threads : 1,
+                                       std::memory_order_relaxed)) {}
+
+TaskPool::ScopedWidth::~ScopedWidth() {
+  g_width_override.store(saved_, std::memory_order_relaxed);
 }
 
 bool TaskPool::on_worker_thread() { return tls_on_worker; }
@@ -338,6 +365,14 @@ TaskId TaskPool::pop_ready(bool allow_lazy) {
   return 0;
 }
 
+void TaskPool::account_run(int worker_index, double seconds) {
+  ++stats_.tasks_run;
+  if (static_cast<int>(stats_.worker_busy_s.size()) <= worker_index) {
+    stats_.worker_busy_s.resize(static_cast<std::size_t>(worker_index) + 1, 0.0);
+  }
+  stats_.worker_busy_s[static_cast<std::size_t>(worker_index)] += seconds;
+}
+
 void TaskPool::finish_task(TaskId id, Task& task, int worker_index, double t0,
                            double t1) {
   // Called with mutex_ held.
@@ -347,11 +382,7 @@ void TaskPool::finish_task(TaskId id, Task& task, int worker_index, double t0,
     case TaskCategory::Lazy: stats_.lazy_busy_s += dur; break;
     case TaskCategory::Other: stats_.other_busy_s += dur; break;
   }
-  ++stats_.tasks_run;
-  if (static_cast<int>(stats_.worker_busy_s.size()) <= worker_index) {
-    stats_.worker_busy_s.resize(static_cast<std::size_t>(worker_index) + 1, 0.0);
-  }
-  stats_.worker_busy_s[static_cast<std::size_t>(worker_index)] += dur;
+  account_run(worker_index, dur);
   if (metrics::enabled()) {
     g_tasks_run.add(1.0);
     // Sojourn latency (submit -> completion); only tasks stamped at submit
@@ -682,84 +713,93 @@ void TaskPool::wait_all() {
   rethrow_if_failed();
 }
 
+void TaskPool::run_job_index(ParallelJob& job,
+                             std::unique_lock<std::mutex>& lock,
+                             int worker_index) {
+  const index_t i = job.next++;
+  lock.unlock();
+  std::exception_ptr error;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    job.run(job.ctx, i);
+  } catch (...) {
+    error = classify_current_exception("parallel-for", -1);
+  }
+  const double dur =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  lock.lock();
+  stats_.other_busy_s += dur;
+  account_run(worker_index, dur);
+  if (error) {
+    // First error wins; the unclaimed tail is abandoned, and `skipped`
+    // keeps the completion accounting exact.
+    if (!job.error) job.error = error;
+    job.skipped += job.total - job.next;
+    job.next = job.total;
+  }
+  if (++job.done + job.skipped >= job.total)
+    job.finished.store(true, std::memory_order_release);
+}
+
 void TaskPool::run_parallel_job(ParallelJob& job, int team_width) {
   std::unique_lock<std::mutex> lock(mutex_);
   if (job_ != nullptr) {
-    // Re-entrant parallel_for (a helped task spawning one): run inline.
+    // Another job is live (a helped task spawning one, or a second thread's
+    // call): run inline.
     lock.unlock();
     for (index_t i = 0; i < job.total; ++i) job.run(job.ctx, i);
     return;
   }
   ensure_workers(team_width - 1);
+  job.team = team_width;
   job_ = &job;
+  jobs_started_.fetch_add(1, std::memory_order_release);
   lock.unlock();
   work_cv_.notify_all();
 
-  // Master claims indices alongside the workers. A body that throws (on
-  // either side) records the pool error and abandons the unclaimed tail —
-  // `skipped` keeps the completion accounting exact.
+  // Master claims indices alongside the workers.
   lock.lock();
   {
     xblas::ScopedThreadCap cap(1);
-    while (job.next < job.total) {
-      const index_t i = job.next++;
-      lock.unlock();
-      try {
-        job.run(job.ctx, i);
-      } catch (...) {
-        capture_failure("parallel-for", -1);
-        lock.lock();
-        job.skipped += job.total - job.next;
-        job.next = job.total;
-        ++job.done;
-        continue;
-      }
-      lock.lock();
-      ++job.done;
-    }
+    while (job.next < job.total) run_job_index(job, lock, /*worker_index=*/0);
   }
+  const auto finished = [&] {
+    return job.finished.load(std::memory_order_acquire);
+  };
+  lock.unlock();
+  spin_until(finished);
+  lock.lock();
   auto give_up = std::chrono::steady_clock::time_point{};
-  while (job.done + job.skipped < job.total) {
-    if (!blocked_wait(lock, give_up)) break;
+  while (!finished() && blocked_wait(lock, give_up)) {
   }
   job_ = nullptr;
+  const std::exception_ptr error = job.error;
   lock.unlock();
-  rethrow_if_failed();
+  done_cv_.notify_all();  // wait_all() also waits for the job slot
+  // A job that never finished means a wedged pool: surface its error.
+  if (!finished()) rethrow_if_failed();
+  if (error) std::rethrow_exception(error);
 }
 
 void TaskPool::worker_main(int worker_index) {
   tls_on_worker = true;
-  // BLAS calls inside tasks must not spawn nested OpenMP teams: the pool
-  // itself is the parallelism. The per-thread cap also defeats an
-  // XBLAS_THREADS override, which ignores the OpenMP ICV.
+  // BLAS calls inside pool work run on one thread: the pool itself is the
+  // parallelism there.
   xblas::set_tls_thread_cap(1);
-#ifdef _OPENMP
-  omp_set_num_threads(1);
-#endif
   std::unique_lock<std::mutex> lock(mutex_);
+  bool spun = false;  // polled for a new job since the last work
   for (;;) {
     if (stop_) return;
-    if (job_ != nullptr && job_->next < job_->total) {
+    if (job_ != nullptr && job_->next < job_->total &&
+        worker_index < job_->team) {
       ParallelJob& job = *job_;
-      const index_t i = job.next++;
-      lock.unlock();
-      bool failed = false;
-      try {
-        job.run(job.ctx, i);
-      } catch (...) {
-        capture_failure("parallel-for", -1);
-        failed = true;
-      }
-      lock.lock();
-      if (failed) {
-        job.skipped += job.total - job.next;
-        job.next = job.total;
-      }
-      if (++job.done + job.skipped >= job.total) {
+      run_job_index(job, lock, worker_index);
+      if (job.finished.load(std::memory_order_relaxed)) {
         lock.unlock();
         done_cv_.notify_all();
         lock.lock();
       }
+      spun = false;
       continue;
     }
     const TaskId id = pop_ready(/*allow_lazy=*/true);
@@ -769,6 +809,19 @@ void TaskPool::worker_main(int worker_index) {
       it->second.fn = nullptr;
       lock.unlock();
       execute_task(id, std::move(task), worker_index);
+      lock.lock();
+      spun = false;
+      continue;
+    }
+    if (!spun) {
+      // Re-check everything above after the poll: a wake-up sent while
+      // this worker was not waiting is not lost.
+      spun = true;
+      const std::uint64_t seen = jobs_started_.load(std::memory_order_relaxed);
+      lock.unlock();
+      spin_until([&] {
+        return jobs_started_.load(std::memory_order_acquire) != seen;
+      });
       lock.lock();
       continue;
     }

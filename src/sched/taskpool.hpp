@@ -1,11 +1,10 @@
 // Persistent dependency-driven task pool for Real-mode execution
 // (DESIGN.md "Pipelined execution and the lookahead time model").
 //
-// The per-step fork/join of the old `parallel_ranks` OpenMP fan-outs paid a
-// team spin-up per phase and — worse — forced a full barrier at every phase
-// boundary, so step t+1's tournament pivoting waited for step t's *entire*
-// Schur gemm even though it only reads the next panel's v columns. The pool
-// replaces that with:
+// A per-phase fork/join would force a full barrier at every phase
+// boundary, so step t+1's tournament pivoting would wait for step t's
+// *entire* Schur gemm although it only reads the next panel's v columns.
+// The pool has instead:
 //
 //   - long-lived workers (std::thread, spawned once and grown on demand,
 //     never torn down between steps or factorizations);
@@ -22,32 +21,34 @@
 //     exactly one task whose decomposition is fixed by the schedule, the
 //     two rules of rank_parallel.hpp.
 //
-// Threading model: the calling ("master") thread is part of the team, as it
-// was under OpenMP. `parallel_for` runs the master plus up to width()-1
-// workers over a fixed index range with no heap allocation; `submit` hands
-// a task to the workers and returns immediately; `wait` blocks the master,
-// helping with ready non-lazy tasks instead of spinning (so a 2-thread
-// machine still overlaps: the worker grinds the lazy gemm while the master
-// executes the next panel's tasks). Workers pin their OpenMP ICV to one
-// thread at startup, so BLAS calls inside tasks never spawn nested teams.
+// Threading model: the calling ("master") thread is part of the team.
+// `parallel_for` runs the master plus up to width()-1 workers over a fixed
+// index range with no heap allocation; `submit` hands a task to the
+// workers and returns immediately; `wait` blocks the master, helping with
+// ready non-lazy tasks instead of spinning (so a 2-thread machine still
+// overlaps: the worker grinds the lazy gemm while the master executes the
+// next panel's tasks). The pool is the program's only thread runtime: gemm
+// runs its parallel loops as parallel_for jobs too, and pool work caps the
+// BLAS at one thread (tuning.hpp, tls_thread_cap), so a BLAS call inside a
+// task never fans out again.
 //
-// Width: omp_get_max_threads() of the calling thread at each use (so
-// omp_set_num_threads keeps working as the knob it always was), overridable
-// via CONFLUX_POOL_THREADS; in non-OpenMP builds the env variable is the
-// only knob and the default width is 1 (serial, matching the old behavior).
-// Width 1 short-circuits everything: parallel_for runs inline and submit
-// executes the task immediately on the caller — the explicit fast path that
-// skips all team machinery for single-chunk work.
+// Width, one value for the whole program: a ScopedWidth override if one is
+// alive, else CONFLUX_POOL_THREADS, else the CPU count of the process
+// affinity mask. Width 1 short-circuits everything: parallel_for runs
+// inline and submit executes the task immediately on the caller — the
+// explicit fast path that skips all team machinery for single-chunk work.
 // Failure semantics (DESIGN.md "Failure model and degradation ladder"):
 // an exception thrown inside a task no longer terminates the worker — it is
 // captured (non-status exceptions are wrapped into a classified
 // status_error with StatusCode::kTaskFailed), the pool cancels the
 // remaining graph (pending tasks drain as no-ops, so dependents never
 // deadlock on a task that will not produce), and the first captured error
-// rethrows on the master at its next wait()/wait_all()/parallel_for() —
-// after every live task has drained, so nothing still references the
-// master's unwinding state. A watchdog detects a wedged pool: if the master
-// blocks for a full interval (CONFLUX_WATCHDOG_S, default 300 s; must
+// rethrows on the master at its next wait()/wait_all() — after every live
+// task has drained, so nothing still references the master's unwinding
+// state. A parallel_for job instead rethrows only its own bodies' first
+// error, to its caller, and leaves the task graph alone. A watchdog
+// detects a wedged pool: if the master blocks for a full interval
+// (CONFLUX_WATCHDOG_S, default 300 s; must
 // exceed the longest single task) during which no task retires, the pool
 // raises StatusCode::kPoolWedged carrying a dump of the ready/running/
 // blocked task ids, cancels, and unwinds — replacing the ctest timeout as
@@ -111,6 +112,7 @@ struct TaskSlice {
 
 /// Aggregate busy-time accounting since the last reset (always on; two
 /// clock reads per task against task bodies that are whole BLAS calls).
+/// Every claimed parallel_for index counts as one Other task.
 struct TaskPoolStats {
   double urgent_busy_s = 0.0;
   double lazy_busy_s = 0.0;
@@ -137,12 +139,27 @@ class TaskPool {
   TaskPool(const TaskPool&) = delete;
   TaskPool& operator=(const TaskPool&) = delete;
 
-  /// Team width for work issued right now: env override, else the calling
-  /// thread's omp_get_max_threads() (1 in non-OpenMP builds). Always >= 1.
+  /// Team width for work issued right now: the innermost live ScopedWidth,
+  /// else CONFLUX_POOL_THREADS, else the CPU count of the process affinity
+  /// mask. Always >= 1.
   int width() const;
 
+  /// Programmatic width override for tests and benches, process-wide while
+  /// alive; it beats CONFLUX_POOL_THREADS, and nested guards restore the
+  /// value they replaced. Set it between (not during) parallel work.
+  class ScopedWidth {
+   public:
+    explicit ScopedWidth(int threads);
+    ~ScopedWidth();
+    ScopedWidth(const ScopedWidth&) = delete;
+    ScopedWidth& operator=(const ScopedWidth&) = delete;
+
+   private:
+    int saved_;
+  };
+
   /// True on a pool worker thread (used by parallel_for to run nested
-  /// parallelism inline, mirroring the old omp_in_parallel() check).
+  /// parallelism inline).
   static bool on_worker_thread();
 
   /// Submit a task with explicit dependencies. Completed (or unknown)
@@ -188,12 +205,14 @@ class TaskPool {
   /// Deterministic team execution of body(i) for i in [0, n): the fixed
   /// chunk decomposition is "one index per task", indices are claimed
   /// atomically by the master and the workers, and the call returns when
-  /// all n finished. Allocation-free. Runs inline when the width is 1, the
-  /// caller is itself a pool worker, or n < 2.
+  /// all n finished. Allocation-free. `max_team` (> 0) caps the team below
+  /// the width. Runs inline when the team is 1, the caller is itself a pool
+  /// worker, or n < 2. A body's exception rethrows here (first one wins).
   template <typename Body>
-  void parallel_for(index_t n, Body&& body) {
+  void parallel_for(index_t n, Body&& body, int max_team = 0) {
     if (n <= 0) return;
-    const int w = (n > 1 && !on_worker_thread()) ? width() : 1;
+    int w = (n > 1 && !on_worker_thread()) ? width() : 1;
+    if (max_team > 0 && max_team < w) w = max_team;
     if (w <= 1) {
       for (index_t i = 0; i < n; ++i) body(i);
       return;
@@ -282,9 +301,18 @@ class TaskPool {
     index_t next = 0;     // next unclaimed index (guarded by mutex_)
     index_t done = 0;     // completed indices (guarded by mutex_)
     index_t skipped = 0;  // indices abandoned after a body threw
+    int team = 0;  // claimants: the master (index 0) and workers 1..team-1
+    std::exception_ptr error;  // this job's first failure (guarded by mutex_)
+    std::atomic<bool> finished{false};  // done + skipped reached total
   };
 
   void run_parallel_job(ParallelJob& job, int team_width);
+  /// Claim job's next index (mutex_ held on entry and on return), run it
+  /// unlocked, and account it: busy time, completion, a failure.
+  void run_job_index(ParallelJob& job, std::unique_lock<std::mutex>& lock,
+                     int worker_index);
+  /// One more run on worker_index, busy for `seconds` (callers hold mutex_).
+  void account_run(int worker_index, double seconds);
   void ensure_workers(int want);  // callers hold mutex_
   void worker_main(int worker_index);
   /// Pop the best ready task id (urgent/other before lazy); 0 if none.
@@ -325,6 +353,7 @@ class TaskPool {
   std::deque<TaskId> ready_;       ///< ready Urgent/Other tasks (FIFO)
   std::deque<TaskId> ready_lazy_;  ///< ready Lazy tasks (FIFO)
   ParallelJob* job_ = nullptr;     ///< active parallel_for, if any
+  std::atomic<std::uint64_t> jobs_started_{0};  ///< spinning workers watch it
   TaskId next_id_ = 1;
   long long live_tasks_ = 0;  ///< submitted and not yet finished
   long long retired_ = 0;     ///< total finished tasks (watchdog progress)

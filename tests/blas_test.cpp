@@ -15,6 +15,7 @@
 #include "blas/lapack.hpp"
 #include "blas/microkernel.hpp"
 #include "blas/tuning.hpp"
+#include "sched/taskpool.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/random_matrix.hpp"
 
@@ -162,16 +163,47 @@ TEST(Gemm, JrParallelPathBitwiseIdenticalAcrossThreadCounts) {
       const MatrixD b = tb == Trans::None ? random_matrix(k, n, 85)
                                           : random_matrix(n, k, 85);
       const MatrixD c0 = random_matrix(m, n, 86);
-      tuning().threads = 1;
       MatrixD one = c0;
-      gemm(Trans::None, tb, -1.0, a.view(), b.view(), 1.0, one.view());
-      tuning().threads = 4;  // m/mc = 1 block << 4 threads: jr-parallel path
+      {
+        const sched::TaskPool::ScopedWidth width(1);
+        gemm(Trans::None, tb, -1.0, a.view(), b.view(), 1.0, one.view());
+      }
       MatrixD four = c0;
-      gemm(Trans::None, tb, -1.0, a.view(), b.view(), 1.0, four.view());
+      {
+        // m/mc = 1 block << 4 threads: jr-parallel path
+        const sched::TaskPool::ScopedWidth width(4);
+        gemm(Trans::None, tb, -1.0, a.view(), b.view(), 1.0, four.view());
+      }
       EXPECT_EQ(one, four) << "k=" << k;
     }
   }
   tuning() = saved;
+}
+
+TEST(Gemm, PoolTeamPathsBitwiseIdenticalAcrossWidths) {
+  // Shapes with enough flops for a 4-wide team: the ic-parallel path
+  // (m/mc >= 4 blocks) and the jr-parallel path (fewer blocks than the
+  // team), each with the strided small-k B and with packed B, all with an
+  // edge stripe (n % NR != 0), must match the 1-wide result bitwise.
+  struct Shape {
+    index_t m, n, k;
+  };
+  for (const Shape s : {Shape{1024, 523, 16}, Shape{1024, 523, 128},
+                        Shape{128, 4100, 16}, Shape{128, 1030, 128}}) {
+    for (const auto tb : {Trans::None, Trans::Transpose}) {
+      const MatrixD a = random_matrix(s.m, s.k, 87);
+      const MatrixD b = tb == Trans::None ? random_matrix(s.k, s.n, 88)
+                                          : random_matrix(s.n, s.k, 88);
+      const MatrixD c0 = random_matrix(s.m, s.n, 89);
+      const auto run = [&](int width) {
+        const sched::TaskPool::ScopedWidth scoped(width);
+        MatrixD c = c0;
+        gemm(Trans::None, tb, -1.0, a.view(), b.view(), 1.0, c.view());
+        return c;
+      };
+      EXPECT_EQ(run(1), run(4)) << "m=" << s.m << " n=" << s.n << " k=" << s.k;
+    }
+  }
 }
 
 TEST(Gemm, PackedPathWorksOnStridedSubviews) {
@@ -766,16 +798,7 @@ INSTANTIATE_TEST_SUITE_P(
 // thread counts: threads partition the output (never a reduction), and the
 // accumulation order per C element is fixed by the loop structure.
 
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int n) : saved_(tuning().threads) {
-    tuning().threads = n;
-  }
-  ~ScopedThreads() { tuning().threads = saved_; }
-
- private:
-  int saved_;
-};
+using ScopedThreads = sched::TaskPool::ScopedWidth;
 
 TEST(Determinism, GemmBitwiseStableAcrossRunsAndThreadCounts) {
   const index_t n = 197;
@@ -979,7 +1002,7 @@ TEST(Tuning, DetectPrecedenceIsDefaultsThenEnv) {
   // Clear every variable the assertions depend on, so a tuned caller
   // environment (e.g. XBLAS_NC=... ctest) cannot fail the test.
   for (const char* var : {"XBLAS_MC", "XBLAS_KC", "XBLAS_NC", "XBLAS_DB",
-                          "XBLAS_LU_NB", "XBLAS_THREADS", "XBLAS_SMALL_K"}) {
+                          "XBLAS_LU_NB", "XBLAS_SMALL_K"}) {
     ::unsetenv(var);
   }
   Tuning t = Tuning::detect();

@@ -32,6 +32,7 @@
 #include "factor/confchox.hpp"
 #include "factor/conflux_lu.hpp"
 #include "factor/mixed.hpp"
+#include "sched/taskpool.hpp"
 #include "tensor/random_matrix.hpp"
 
 namespace conflux {
@@ -78,17 +79,8 @@ std::vector<ConfCase> sweep() {
   };
 }
 
-/// Scoped override of the xblas thread count.
-class ThreadGuard {
- public:
-  explicit ThreadGuard(int threads) : saved_(xblas::tuning().threads) {
-    xblas::tuning().threads = threads;
-  }
-  ~ThreadGuard() { xblas::tuning().threads = saved_; }
-
- private:
-  int saved_;
-};
+/// Scoped override of the thread width (the pool's, which gemm runs on).
+using ThreadGuard = sched::TaskPool::ScopedWidth;
 
 /// Componentwise (Oettli-Prager) backward error of A X = B, computed in
 /// fp64: max over entries of |B - A X| ./ (|A| |X| + |B|). fp32 solutions

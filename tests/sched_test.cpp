@@ -11,12 +11,13 @@
 //    test in factor_test
 //  - Chrome-trace export is syntactically valid JSON (checked with a small
 //    JSON parser) carrying the schedules' phase labels
-//  - Real-mode execution is bitwise identical across OpenMP thread counts
+//  - Real-mode execution is bitwise identical across pool widths
 //  - the lookahead time model sits inside the bracket:
 //    elapsed >= modeled >= modeled_lookahead >= overlap on both
 //    factorizations, and lazy-phase deferral never lengthens the raw replay
 //  - the persistent TaskPool: dependency ordering, the single-thread inline
-//    fast path of parallel_ranks, and — with two threads — the real
+//    fast path of parallel_ranks, busy-time stats of parallel_for work,
+//    per-job errors of parallel_for, and — with two threads — the real
 //    pipelining of a lookahead run, asserted from recorded task slices and
 //    exported as valid Chrome-trace JSON
 #include <gtest/gtest.h>
@@ -33,6 +34,8 @@
 #include <vector>
 
 #include "baselines/candmc.hpp"
+#include "blas/blas.hpp"
+#include "blas/tuning.hpp"
 #include "baselines/scalapack2d.hpp"
 #include "factor/confchox.hpp"
 #include "factor/conflux_lu.hpp"
@@ -44,10 +47,6 @@
 #include "tensor/random_matrix.hpp"
 
 #include "json_checker.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace conflux::sched {
 namespace {
@@ -581,18 +580,93 @@ TEST(TaskPool, FailedTaskCancelsDependents) {
   EXPECT_TRUE(ok.load());
 }
 
+TEST(TaskPool, StatsCountParallelForIndices) {
+  // parallel_for work is pool work: every claimed index counts as one Other
+  // task, its busy time on the thread that ran it.
+  TaskPool& pool = TaskPool::instance();
+  const TaskPool::ScopedWidth width(4);
+  pool.reset_stats();
+  constexpr index_t kIndices = 16;
+  pool.parallel_for(kIndices, [](index_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  TaskPoolStats st = pool.stats();
+  EXPECT_EQ(st.tasks_run, kIndices);
+  EXPECT_GE(st.other_busy_s, 0.001 * kIndices);
+  EXPECT_EQ(st.urgent_busy_s + st.lazy_busy_s, 0.0);
+  double per_thread = 0.0;
+  for (const double busy : st.worker_busy_s) per_thread += busy;
+  EXPECT_NEAR(per_thread, st.busy_total_s(), 1e-9);
+  // Submitted tasks still count alongside.
+  pool.wait(pool.submit([] {}, "task", TaskCategory::Lazy, 0, nullptr, 0));
+  st = pool.stats();
+  EXPECT_EQ(st.tasks_run, kIndices + 1);
+}
+
+TEST(TaskPool, ParallelForErrorsStayWithTheirJob) {
+  // A failed graph's error belongs to its master. Another thread's gemm
+  // (a parallel_for job, no lease) must complete normally while that error
+  // is pending, a job's own failure must reach only its caller, and the
+  // graph's master must still get the graph's error.
+  TaskPool& pool = TaskPool::instance();
+  const TaskPool::ScopedWidth width(4);
+  const long long before = pool.stats().tasks_run;
+  const TaskId bad =
+      pool.submit([] { throw std::runtime_error("graph failure"); },
+                  "graph-bad", TaskCategory::Other, 5, nullptr, 0);
+  // The failure is captured before its task counts as run.
+  while (pool.stats().tasks_run == before) std::this_thread::yield();
+
+  using xblas::Trans;
+  const index_t n = 256;  // 2n^3 flops: a full 4-wide gemm team
+  const MatrixD a = random_matrix(n, n, 61);
+  const MatrixD b = random_matrix(n, n, 62);
+  MatrixD serial(n, n), pooled(n, n);
+  {
+    const xblas::ScopedThreadCap one(1);
+    xblas::gemm(Trans::None, Trans::None, 1.0, a.view(), b.view(), 0.0,
+                serial.view());
+  }
+  bool other_threw = false;
+  std::thread other([&] {
+    try {
+      xblas::gemm(Trans::None, Trans::None, 1.0, a.view(), b.view(), 0.0,
+                  pooled.view());
+    } catch (...) {
+      other_threw = true;
+    }
+  });
+  other.join();
+  EXPECT_FALSE(other_threw) << "a graph error leaked into another job";
+  EXPECT_EQ(serial, pooled);
+
+  try {
+    pool.parallel_for(8, [](index_t i) {
+      if (i == 3) throw std::runtime_error("job failure");
+    });
+    FAIL() << "a job's own failure must rethrow to its caller";
+  } catch (const status_error& e) {
+    EXPECT_EQ(e.code(), StatusCode::kTaskFailed);
+    EXPECT_NE(e.status().message().find("job failure"), std::string::npos);
+  }
+
+  try {
+    pool.wait(bad);
+    FAIL() << "the graph's master must still get its error";
+  } catch (const status_error& e) {
+    EXPECT_EQ(e.status().step(), 5);
+    EXPECT_NE(e.status().message().find("graph failure"), std::string::npos);
+  }
+}
+
 TEST(TaskPool, WatchdogDetectsWedgedPool) {
-#ifndef _OPENMP
-  GTEST_SKIP() << "needs OpenMP to configure a 2-thread pool";
-#else
   // A worker stuck in a task (here: spinning until released) must not hang
   // the blocked master forever: after a full watchdog interval with zero
   // retirements the wait fails fast with kPoolWedged and a task-id dump.
   // The task is Lazy so the helping master cannot pick it up itself and
   // block in its body.
   TaskPool& pool = TaskPool::instance();
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(2);
+  const TaskPool::ScopedWidth width(2);
   pool.set_watchdog_seconds(0.2);
   std::atomic<bool> release{false};
   const TaskId wedged = pool.submit(
@@ -618,8 +692,6 @@ TEST(TaskPool, WatchdogDetectsWedgedPool) {
   pool.wait(next);
   EXPECT_TRUE(ok.load());
   pool.set_watchdog_seconds(0.0);  // back to the env/default interval
-  omp_set_num_threads(saved);
-#endif
 }
 
 TEST(RankParallel, SingleChunkAndSingleThreadRunInline) {
@@ -629,16 +701,14 @@ TEST(RankParallel, SingleChunkAndSingleThreadRunInline) {
   std::thread::id ran_on{};
   sched::parallel_ranks(1, [&](index_t) { ran_on = std::this_thread::get_id(); });
   EXPECT_EQ(ran_on, self);
-#ifdef _OPENMP
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
   std::array<std::thread::id, 4> ids{};
-  sched::parallel_ranks(4, [&](index_t i) {
-    ids[static_cast<std::size_t>(i)] = std::this_thread::get_id();
-  });
-  omp_set_num_threads(saved);
+  {
+    const TaskPool::ScopedWidth width(1);
+    sched::parallel_ranks(4, [&](index_t i) {
+      ids[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+    });
+  }
   for (const auto& id : ids) EXPECT_EQ(id, self);
-#endif
 }
 
 // With two threads, a lookahead run must actually pipeline: some step t+1
@@ -646,9 +716,6 @@ TEST(RankParallel, SingleChunkAndSingleThreadRunInline) {
 // wall clock before step t's lazy remainder has finished, and the recorded
 // pool slices export as valid Chrome-trace JSON.
 TEST(TaskPool, LookaheadRunOverlapsAcrossStepsInTheRecordedTrace) {
-#ifndef _OPENMP
-  GTEST_SKIP() << "needs OpenMP to configure a 2-thread pool";
-#else
   const index_t n = 512;
   const grid::Grid3D g(2, 2, 1);
   const MatrixD a = random_matrix(n, n, 101);
@@ -658,8 +725,7 @@ TEST(TaskPool, LookaheadRunOverlapsAcrossStepsInTheRecordedTrace) {
   const index_t steps = n / opt.block_size;
 
   TaskPool& pool = TaskPool::instance();
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(2);
+  const TaskPool::ScopedWidth width(2);
   // The overlap is a wall-clock property: with both threads time-sliced
   // onto few (or one) physical cores, an unlucky OS schedule can serialize
   // a whole run. Any successful attempt proves the pipeline; retry a few
@@ -696,7 +762,6 @@ TEST(TaskPool, LookaheadRunOverlapsAcrossStepsInTheRecordedTrace) {
       overlapped = overlapped || panel_start[i + 1] < lazy_end[i];
     }
   }
-  omp_set_num_threads(saved);
   EXPECT_TRUE(overlapped)
       << "no step t+1 panel task began before step t's lazy gemm ended";
 
@@ -712,10 +777,9 @@ TEST(TaskPool, LookaheadRunOverlapsAcrossStepsInTheRecordedTrace) {
   EXPECT_NE(json.find("schur-urgent"), std::string::npos);
   EXPECT_NE(json.find("panel-trsm-a10"), std::string::npos);
   EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 400);
-#endif
 }
 
-// -------------------------------------------------- OpenMP determinism ----
+// ---------------------------------------------------- width determinism ----
 
 TEST(RankParallel, RealModeResultsBitwiseIdenticalAcrossThreadCounts) {
   const index_t n = 128;
@@ -734,20 +798,14 @@ TEST(RankParallel, RealModeResultsBitwiseIdenticalAcrossThreadCounts) {
     return factor::confchox(m, g, spd.view(), opt);
   };
 
-#ifdef _OPENMP
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-#endif
-  const factor::LuResult lu1 = run_lu();
-  const factor::CholResult ch1 = run_chol();
-#ifdef _OPENMP
-  omp_set_num_threads(4);
-#endif
-  const factor::LuResult lu4 = run_lu();
-  const factor::CholResult ch4 = run_chol();
-#ifdef _OPENMP
-  omp_set_num_threads(saved);
-#endif
+  const auto [lu1, ch1] = [&] {
+    const TaskPool::ScopedWidth width(1);
+    return std::make_pair(run_lu(), run_chol());
+  }();
+  const auto [lu4, ch4] = [&] {
+    const TaskPool::ScopedWidth width(4);
+    return std::make_pair(run_lu(), run_chol());
+  }();
 
   EXPECT_EQ(lu1.perm, lu4.perm);
   EXPECT_EQ(lu1.factors, lu4.factors);
